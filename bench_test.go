@@ -505,7 +505,9 @@ func BenchmarkBatchRoundD7(b *testing.B) {
 // BenchmarkBatchMaskedRoundD7 measures the adaptive engine's substrate: one
 // lane-masked round (plan merge + masked execution) with a realistic sparse
 // spread of per-lane LRCs — a few lanes scheduling one LRC each, as ERASER
-// produces at the paper's error rates.
+// produces at the paper's error rates. One untimed round grows the builder's
+// scratch first, so the CI allocation gate can demand 0 allocs/op from it
+// and BenchmarkBatchRoundD7 even at -benchtime 2x.
 func BenchmarkBatchMaskedRoundD7(b *testing.B) {
 	l := surfacecode.MustNew(7)
 	s := batch.New(l, noise.Standard(1e-3), surfacecode.KindZ)
@@ -516,92 +518,11 @@ func BenchmarkBatchMaskedRoundD7(b *testing.B) {
 		q := (i * 7) % l.NumData
 		plans[i] = circuit.Plan{LRCs: []circuit.LRC{{Data: q, Stab: l.SwapPrimary[q]}}}
 	}
+	s.RunRoundMasked(builder.MaskedRound(plans, batch.AllLanes))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.RunRoundMasked(builder.MaskedRound(plans, circuit.LaneMask{batch.AllLanes}))
-	}
-}
-
-// BenchmarkBatchRoundD7Wide is BenchmarkBatchRoundD7 at the wide engine's
-// width: one syndrome extraction round advancing 256 shots (4 bit-exact
-// 64-lane units) at once. The CI allocation gate greps this benchmark's
-// -benchmem column for 0 allocs/op — the wide hot loop must stay
-// allocation-free like the narrow one.
-func BenchmarkBatchRoundD7Wide(b *testing.B) {
-	l := surfacecode.MustNew(7)
-	s := batch.NewWide(l, noise.Standard(1e-3), surfacecode.KindZ)
-	var rngs [batch.BlockWords]*stats.RNG
-	for w := range rngs {
-		rngs[w] = stats.NewRNG(1, uint64(w))
-	}
-	s.Reset(rngs)
-	builder := circuit.NewBuilder(l)
-	ops := builder.Round(circuit.Plan{})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.RunRound(ops)
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch.BlockLanes), "ns/shot")
-}
-
-// BenchmarkBatchMaskedRoundD7Wide is the wide counterpart of
-// BenchmarkBatchMaskedRoundD7: one lane-masked round over 256 lanes with the
-// same sparse per-lane LRC density.
-func BenchmarkBatchMaskedRoundD7Wide(b *testing.B) {
-	l := surfacecode.MustNew(7)
-	s := batch.NewWide(l, noise.Standard(1e-3), surfacecode.KindZ)
-	var rngs [batch.BlockWords]*stats.RNG
-	for w := range rngs {
-		rngs[w] = stats.NewRNG(1, uint64(w))
-	}
-	s.Reset(rngs)
-	builder := circuit.NewBuilder(l)
-	plans := make([]circuit.Plan, batch.BlockLanes)
-	for i := 0; i < batch.BlockLanes; i += 9 {
-		q := (i * 7) % l.NumData
-		plans[i] = circuit.Plan{LRCs: []circuit.LRC{{Data: q, Stab: l.SwapPrimary[q]}}}
-	}
-	active := circuit.LaneMaskFor(batch.BlockLanes)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.RunRoundMasked(builder.MaskedRound(plans, active))
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch.BlockLanes), "ns/shot")
-}
-
-// BenchmarkWideVsNarrow measures the end-to-end unit-range throughput of the
-// 256-lane wide engine against the 64-lane narrow path it replaces (the
-// ForceNarrow opt-out runs the identical workload, bit-exactly, one unit at
-// a time). "static" exercises the shared-plan worker, "adaptive" the
-// lane-masked ERASER worker; ns/shot is the comparable figure.
-func BenchmarkWideVsNarrow(b *testing.B) {
-	for _, tc := range []struct {
-		name string
-		pol  core.Kind
-	}{
-		{"static", core.PolicyAlways},
-		{"adaptive", core.PolicyEraser},
-	} {
-		cfg := experiment.Config{Distance: 7, Cycles: 7, P: 1e-3, Seed: 11,
-			Policy: tc.pol, Workers: 1}
-		units := 8 * experiment.BlockUnits
-		shots := units * cfg.UnitShots()
-		run := func(b *testing.B, c experiment.Config) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				experiment.RunUnits(c, 0, units)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*shots), "ns/shot")
-		}
-		b.Run(tc.name+"/wide", func(b *testing.B) { run(b, cfg) })
-		b.Run(tc.name+"/narrow", func(b *testing.B) {
-			c := cfg
-			c.ForceNarrow = true
-			run(b, c)
-		})
+		s.RunRoundMasked(builder.MaskedRound(plans, batch.AllLanes))
 	}
 }
 

@@ -9,11 +9,11 @@ const sample = `goos: linux
 goarch: amd64
 pkg: repro
 cpu: Xeon Something
-BenchmarkBatchRoundD7Wide-8 	   10000	    807651 ns/op	      3155 ns/shot	       0 B/op	       0 allocs/op
-BenchmarkWideVsNarrow/static/wide-8         	      27	  97608991 ns/op	     47661 ns/shot	 1665070 B/op	    1551 allocs/op
-BenchmarkWideVsNarrow/static/narrow-8       	      25	  91897546 ns/op	     44872 ns/shot	 1231937 B/op	     939 allocs/op
-BenchmarkWideVsNarrow/adaptive/wide-8       	      22	  99592852 ns/op	     48629 ns/shot	 1277398 B/op	    4729 allocs/op
-BenchmarkWideVsNarrow/adaptive/narrow-8     	      22	 108669750 ns/op	     53061 ns/shot	  690618 B/op	    1769 allocs/op
+BenchmarkBatchMaskedRoundD7-8 	   10000	    807651 ns/op	      3155 ns/shot	       0 B/op	       0 allocs/op
+BenchmarkBatchVsScalar/NoLRC/scalar-8       	      27	  97608991 ns/op	     47661 ns/shot	 1665070 B/op	    1551 allocs/op
+BenchmarkBatchVsScalar/NoLRC/batch-8        	      25	  91897546 ns/op	     44872 ns/shot	 1231937 B/op	     939 allocs/op
+BenchmarkBatchVsScalar/ERASER/scalar-8      	      22	  99592852 ns/op	     48629 ns/shot	 1277398 B/op	    4729 allocs/op
+BenchmarkBatchVsScalar/ERASER/batch-8       	      22	 108669750 ns/op	     53061 ns/shot	  690618 B/op	    1769 allocs/op
 BenchmarkFigure14-8 	       1	   6084692 ns/op	         2.400 eraser_improvement_x
 PASS
 ok  	repro	12.345s
@@ -31,7 +31,7 @@ func TestParse(t *testing.T) {
 		t.Fatalf("parsed %d benchmarks, want 6", len(rep.Benchmarks))
 	}
 	b0 := rep.Benchmarks[0]
-	if b0.Name != "BenchmarkBatchRoundD7Wide-8" || b0.Iterations != 10000 {
+	if b0.Name != "BenchmarkBatchMaskedRoundD7-8" || b0.Iterations != 10000 {
 		t.Fatalf("first benchmark parsed wrong: %+v", b0)
 	}
 	if b0.Metrics["allocs/op"] != 0 || b0.Metrics["ns/shot"] != 3155 {
@@ -39,20 +39,6 @@ func TestParse(t *testing.T) {
 	}
 	if got := rep.Benchmarks[5].Metrics["eraser_improvement_x"]; got != 2.4 {
 		t.Fatalf("custom metric parsed wrong: %v", got)
-	}
-}
-
-func TestDerivedSpeedups(t *testing.T) {
-	rep, err := Parse(strings.NewReader(sample))
-	if err != nil {
-		t.Fatal(err)
-	}
-	within := func(got, want float64) bool { return got > want-0.001 && got < want+0.001 }
-	if got := rep.Derived["static_speedup_x"]; !within(got, 44872.0/47661.0) {
-		t.Fatalf("static speedup %v", got)
-	}
-	if got := rep.Derived["adaptive_speedup_x"]; !within(got, 53061.0/48629.0) {
-		t.Fatalf("adaptive speedup %v", got)
 	}
 }
 
@@ -130,8 +116,5 @@ func TestParseSkipsMalformedLines(t *testing.T) {
 	}
 	if len(rep.Benchmarks) != 1 || rep.Benchmarks[0].Name != "BenchmarkOK" {
 		t.Fatalf("malformed line handling wrong: %+v", rep.Benchmarks)
-	}
-	if rep.Derived != nil {
-		t.Fatalf("no engine pair present, derived should be nil: %+v", rep.Derived)
 	}
 }

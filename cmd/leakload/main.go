@@ -213,13 +213,6 @@ func printServerReport(before, after *metrics.Snapshot, elapsed time.Duration) {
 	fmt.Printf("leakload: server: %.1f units/sec (%d units in %v), %.1f jobs/sec, %d shed\n",
 		units/elapsed.Seconds(), int64(units), elapsed.Round(time.Millisecond),
 		jobs/elapsed.Seconds(), int64(sheds))
-	wide, _ := diff.Value("leak_sched_units_by_width_total", "width", "256")
-	narrow, _ := diff.Value("leak_sched_units_by_width_total", "width", "64")
-	scalar, _ := diff.Value("leak_sched_units_by_width_total", "width", "1")
-	if units > 0 {
-		fmt.Printf("leakload: server: engine width: %.1f%% wide-256 (%d units), %d narrow-64, %d scalar\n",
-			100*wide/units, int64(wide), int64(narrow), int64(scalar))
-	}
 	if hits+misses > 0 {
 		fmt.Printf("leakload: server: cache hit rate %.1f%% (%d hits, %d misses)\n",
 			100*hits/(hits+misses), int64(hits), int64(misses))

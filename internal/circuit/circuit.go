@@ -53,35 +53,18 @@ type Op struct {
 // from it.
 const WordLanes = 64
 
-// MaskWords is the number of 64-lane words in a LaneMask — the widest block
-// the wide batch engine processes at once (MaskWords * WordLanes lanes).
-const MaskWords = 4
+// LaneMask is the lane mask of a masked op: bit i covers shot lane i of the
+// 64-lane batch word.
+type LaneMask = uint64
 
-// MaxLanes is the widest lane count a masked round can address.
-const MaxLanes = MaskWords * WordLanes
-
-// LaneMask is the lane mask of a masked op: bit b of word w covers lane
-// w*WordLanes+b. The single-word (64-lane) engine reads only word 0; the wide
-// engine reads all MaskWords words, one per 64-lane sub-word of its block.
-type LaneMask = [MaskWords]uint64
-
-// LaneMaskFor returns the mask selecting the first n lanes, n in
-// [0, MaxLanes].
+// LaneMaskFor returns the mask selecting the first n lanes (the active lanes
+// of a partial final batch), n in [0, WordLanes]; larger n selects every lane.
 func LaneMaskFor(n int) LaneMask {
-	var m LaneMask
-	for w := range m {
-		switch {
-		case n >= (w+1)*WordLanes:
-			m[w] = ^uint64(0)
-		case n > w*WordLanes:
-			m[w] = (uint64(1) << uint(n-w*WordLanes)) - 1
-		}
+	if n >= WordLanes {
+		return ^LaneMask(0)
 	}
-	return m
+	return (LaneMask(1) << uint(n)) - 1
 }
-
-// laneMaskZero reports whether no lane of m is set.
-func laneMaskZero(m LaneMask) bool { return m[0]|m[1]|m[2]|m[3] == 0 }
 
 // MaskedOp pairs an Op with the lane mask of batch-simulator shots it
 // applies to: a set bit means the corresponding shot lane executes the
@@ -279,7 +262,7 @@ func (b *Builder) Round(plan Plan) []Op {
 	return b.ops
 }
 
-// MaskedRound merges up to MaxLanes per-lane round plans into one masked
+// MaskedRound merges up to WordLanes per-lane round plans into one masked
 // operation sequence for the batch simulators. plans[i] is lane i's plan;
 // lanes whose bit is clear in active are skipped. Every lane shares the
 // identical syndrome-extraction skeleton (opening Hadamards, the four CNOT
@@ -294,11 +277,8 @@ func (b *Builder) Round(plan Plan) []Op {
 //
 // Per stabilizer, the merged (data qubit, lane set) entries are emitted in
 // ascending data-qubit order — a canonical order independent of which lanes
-// requested each pairing. That invariant is what makes the wide engine
-// bit-exact per 64-lane sub-word: restricting the sequence to any one word of
-// the mask yields the same relative op order the single-word builder would
-// produce for those 64 lanes alone, so every sub-word's RNG streams see an
-// identical call sequence.
+// requested each pairing, so the op sequence (and hence the simulator's
+// random draws) depends only on the set of plans, not on lane order.
 func (b *Builder) MaskedRound(plans []Plan, active LaneMask) []MaskedOp {
 	l := b.layout
 	b.mops = b.mops[:0]
@@ -308,24 +288,22 @@ func (b *Builder) MaskedRound(plans []Plan, active LaneMask) []MaskedOp {
 	}
 	for i := range b.laneLRCs {
 		b.laneLRCs[i] = b.laneLRCs[i][:0]
-		b.laneMask[i] = LaneMask{}
+		b.laneMask[i] = 0
 	}
 
 	// Probe Protocol/CondReturn from the first active lane that actually
 	// schedules LRCs: both settings only affect LRC ops, and an idle lane's
-	// zero-valued plan must not override the scheduling lanes' choice. This
-	// keeps the sub-word restriction property exact — the probe result is
-	// the same whether it scans one 64-lane word or the whole wide block.
+	// zero-valued plan must not override the scheduling lanes' choice.
 	proto, condReturn := ProtocolSwap, false
 	for i := range plans {
-		if active[i>>6]&(1<<uint(i&63)) != 0 && len(plans[i].LRCs) != 0 {
+		if active&(1<<uint(i)) != 0 && len(plans[i].LRCs) != 0 {
 			proto, condReturn = plans[i].Protocol, plans[i].CondReturn
 			break
 		}
 	}
 	for i := range plans {
-		w, bit := i>>6, uint64(1)<<uint(i&63)
-		if active[w]&bit == 0 {
+		bit := LaneMask(1) << uint(i)
+		if active&bit == 0 {
 			continue
 		}
 		for _, lrc := range plans[i].LRCs {
@@ -333,22 +311,20 @@ func (b *Builder) MaskedRound(plans []Plan, active LaneMask) []MaskedOp {
 			merged := false
 			for j := range list {
 				if list[j].data == lrc.Data {
-					list[j].mask[w] |= bit
+					list[j].mask |= bit
 					merged = true
 					break
 				}
 			}
 			if !merged {
-				var m LaneMask
-				m[w] = bit
-				list = append(list, laneLRC{lrc.Data, m})
+				list = append(list, laneLRC{lrc.Data, bit})
 				// Keep entries sorted by data qubit (see the contract above).
 				for j := len(list) - 1; j > 0 && list[j].data < list[j-1].data; j-- {
 					list[j], list[j-1] = list[j-1], list[j]
 				}
 				b.laneLRCs[lrc.Stab] = list
 			}
-			b.laneMask[lrc.Stab][w] |= bit
+			b.laneMask[lrc.Stab] |= bit
 		}
 	}
 	useSwap := proto == ProtocolSwap
@@ -399,7 +375,7 @@ func (b *Builder) MaskedRound(plans []Plan, active LaneMask) []MaskedOp {
 		if useSwap {
 			swapped = b.laneMask[s.Index]
 		}
-		if rem := laneMaskAndNot(active, swapped); !laneMaskZero(rem) {
+		if rem := active &^ swapped; rem != 0 {
 			b.emitMasked(Op{Kind: OpH, Q0: s.Ancilla, Q1: -1, Stab: -1}, rem)
 		}
 		if useSwap {
@@ -418,7 +394,7 @@ func (b *Builder) MaskedRound(plans []Plan, active LaneMask) []MaskedOp {
 		if useSwap {
 			swapped = b.laneMask[s.Index]
 		}
-		if rem := laneMaskAndNot(active, swapped); !laneMaskZero(rem) {
+		if rem := active &^ swapped; rem != 0 {
 			b.emitMasked(Op{Kind: OpMeasure, Q0: s.Ancilla, Q1: -1, Stab: s.Index}, rem)
 			b.emitMasked(Op{Kind: OpReset, Q0: s.Ancilla, Q1: -1, Stab: -1}, rem)
 		}
@@ -473,11 +449,6 @@ func (b *Builder) emit(op Op) { b.ops = append(b.ops, op) }
 
 func (b *Builder) emitMasked(op Op, mask LaneMask) {
 	b.mops = append(b.mops, MaskedOp{Op: op, Mask: mask})
-}
-
-// laneMaskAndNot returns a &^ b per word.
-func laneMaskAndNot(a, b LaneMask) LaneMask {
-	return LaneMask{a[0] &^ b[0], a[1] &^ b[1], a[2] &^ b[2], a[3] &^ b[3]}
 }
 
 // CountTwoQubitOps returns the number of two-qubit operations in ops,

@@ -1,6 +1,7 @@
 package circuit
 
 import (
+	"math/bits"
 	"testing"
 
 	"repro/internal/surfacecode"
@@ -257,7 +258,7 @@ func TestProtocolString(t *testing.T) {
 func projectLane(mops []MaskedOp, lane int) []Op {
 	var out []Op
 	for _, m := range mops {
-		if m.Mask[lane>>6]&(1<<uint(lane&63)) != 0 {
+		if m.Mask&(1<<uint(lane)) != 0 {
 			out = append(out, m.Op)
 		}
 	}
@@ -265,15 +266,7 @@ func projectLane(mops []MaskedOp, lane int) []Op {
 }
 
 // maskBits counts the lanes a mask selects.
-func maskBits(m LaneMask) int {
-	n := 0
-	for _, w := range m {
-		for ; w != 0; w &= w - 1 {
-			n++
-		}
-	}
-	return n
-}
+func maskBits(m LaneMask) int { return bits.OnesCount64(m) }
 
 // sortLRCsByStab orders a plan's LRC list by stabilizer index, the order the
 // masked emitter uses, so per-lane projections compare op-for-op with the
@@ -318,7 +311,7 @@ func TestMaskedRoundProjectsToScalarRounds(t *testing.T) {
 			{Data: 0, Stab: l.SwapPrimary[0]}, {Data: 12, Stab: l.SwapPrimary[12]}})
 		plans[5].LRCs = plans[1].LRCs
 		plans[3].LRCs = []LRC{{Data: 7, Stab: l.SwapPrimary[7]}}
-		active := LaneMask{1<<0 | 1<<1 | 1<<2 | 1<<5}
+		active := LaneMask(1<<0 | 1<<1 | 1<<2 | 1<<5)
 
 		mops := b.MaskedRound(plans, active)
 		for _, lane := range []int{0, 1, 2, 5} {
@@ -336,55 +329,9 @@ func TestMaskedRoundProjectsToScalarRounds(t *testing.T) {
 		// The inactive lane's plan must leave no trace: no op may touch only
 		// lane 3, and lane 3's projection equals a plain round's skeleton.
 		for _, m := range mops {
-			if rem := laneMaskAndNot(m.Mask, active); !laneMaskZero(rem) {
+			if rem := m.Mask &^ active; rem != 0 {
 				t.Fatalf("%s: op %+v masked to inactive lanes %#x", variant.name, m.Op, rem)
 			}
-		}
-	}
-}
-
-// TestMaskedRoundWideLaneProjection is the per-lane contract beyond word 0:
-// with plans spread across all MaskWords sub-words, every lane's projection
-// of the merged sequence still equals the scalar round for its plan, and no
-// op touches an inactive lane.
-func TestMaskedRoundWideLaneProjection(t *testing.T) {
-	l := surfacecode.MustNew(5)
-	b := NewBuilder(l)
-	scalar := NewBuilder(l)
-
-	plans := make([]Plan, MaxLanes)
-	// One lane per sub-word carries an LRC; lane 200 shares lane 1's plan so
-	// its mask merges across sub-words, and lane 131 stays inactive with a
-	// plan that must be ignored.
-	lanes := []int{0, 1, 70, 130, 200, 255}
-	plans[1].LRCs = []LRC{{Data: 4, Stab: l.SwapPrimary[4]}}
-	plans[70].LRCs = sortLRCsByStab([]LRC{
-		{Data: 0, Stab: l.SwapPrimary[0]}, {Data: 12, Stab: l.SwapPrimary[12]}})
-	plans[130].LRCs = []LRC{{Data: 7, Stab: l.SwapPrimary[7]}}
-	plans[200].LRCs = plans[1].LRCs
-	plans[255].LRCs = []LRC{{Data: 24, Stab: l.SwapPrimary[24]}}
-	plans[131].LRCs = []LRC{{Data: 2, Stab: l.SwapPrimary[2]}}
-	var active LaneMask
-	for _, lane := range lanes {
-		active[lane>>6] |= 1 << uint(lane&63)
-	}
-
-	mops := b.MaskedRound(plans, active)
-	for _, lane := range lanes {
-		want := scalar.Round(plans[lane])
-		got := projectLane(mops, lane)
-		if len(got) != len(want) {
-			t.Fatalf("lane %d: %d ops, want %d", lane, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("lane %d op %d: %+v, want %+v", lane, i, got[i], want[i])
-			}
-		}
-	}
-	for _, m := range mops {
-		if rem := laneMaskAndNot(m.Mask, active); !laneMaskZero(rem) {
-			t.Fatalf("op %+v masked to inactive lanes %#x", m.Op, rem)
 		}
 	}
 }
@@ -398,7 +345,7 @@ func TestMaskedRoundSharedSkeleton(t *testing.T) {
 	plans := make([]Plan, 64)
 	plans[0].LRCs = []LRC{{Data: 0, Stab: l.SwapPrimary[0]}}
 	plans[1].LRCs = []LRC{{Data: 8, Stab: l.SwapPrimary[8]}}
-	active := LaneMask{0b11}
+	active := LaneMask(0b11)
 	mops := b.MaskedRound(plans, active)
 
 	wantCNOTs := 0
@@ -434,7 +381,7 @@ func TestMaskedRoundStaticPlanMatchesRound(t *testing.T) {
 	for i := range plans {
 		plans[i] = plan
 	}
-	active := LaneMask{^uint64(0)}
+	active := LaneMask(^uint64(0))
 	mops := b.MaskedRound(plans, active)
 	want := scalar.Round(plan)
 	if len(mops) != len(want) {

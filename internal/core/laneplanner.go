@@ -9,35 +9,29 @@ import (
 )
 
 // LaneRoundInfo is the batch-native classical record of one round: the same
-// information RoundInfo carries per shot, packed one word per stabilizer (or
-// data qubit) per 64-lane sub-word. The per-plane slices use the wide
-// engine's flat layout — entity e's word for sub-word w sits at index
-// e*words+w, where words is the lane count / circuit.WordLanes the planner
-// was built with. A 64-lane planner (words = 1) therefore consumes the
-// single-word engine's outputs unchanged.
+// information RoundInfo carries per shot, packed one 64-lane word per
+// stabilizer (or data qubit) exactly as the batch simulator returns it, so
+// the engine's outputs feed the planner unchanged.
 type LaneRoundInfo struct {
 	// Round is the 1-based index of the round just executed.
 	Round int
 	// Active masks the lanes holding real shots (a partial final batch
-	// leaves high lanes inactive). Only the planner's first lanes/64 words
-	// are consulted.
+	// leaves high lanes inactive).
 	Active circuit.LaneMask
-	// Events holds the detection-event planes per stabilizer.
+	// Events holds the detection-event word per stabilizer.
 	Events []uint64
 	// MLParityLeak and MLParityVal are the multi-level readout bit-planes
 	// per stabilizer: is-leak and value. Only ERASER+M reads them.
 	MLParityLeak []uint64
 	MLParityVal  []uint64
-	// TrueLeakedData holds the ground-truth leakage planes per data qubit.
+	// TrueLeakedData holds the ground-truth leakage word per data qubit.
 	// Only the idealized Optimal policy reads it.
 	TrueLeakedData []uint64
 }
 
-// LanePolicies runs a configurable number of independent instances of one
-// scheduling policy side by side, one per batch-simulator lane, so adaptive
-// policies whose plans react to per-shot observations can drive the
-// word-parallel engines — 64 instances in front of the single-word engine,
-// batch.BlockLanes in front of the wide one. PlanRound queries every active
+// LanePolicies runs one independent instance of a scheduling policy per
+// batch-simulator lane, so adaptive policies whose plans react to per-shot
+// observations can drive the 64-lane engine. PlanRound queries every active
 // lane's instance and exposes the per-lane plans (for
 // circuit.Builder.MaskedRound) together with per-data-qubit planned-lane
 // words and the total LRC count (for the harness accounting); Observe fans
@@ -45,12 +39,10 @@ type LaneRoundInfo struct {
 type LanePolicies struct {
 	kind   Kind
 	layout *surfacecode.Layout
-	lanes  int
-	words  int
 	pols   []Policy
 	plans  []circuit.Plan
 
-	plannedWord []uint64 // [NumData*words] lanes scheduling an LRC on q
+	plannedWord []uint64 // [NumData] lanes scheduling an LRC on q
 	lrcTotal    int64    // LRCs planned this round, summed over active lanes
 
 	// Fan-out scratch, reused across lanes: policies must consume RoundInfo
@@ -60,23 +52,18 @@ type LanePolicies struct {
 	truth  []bool
 }
 
-// NewLanePolicies builds lanes policy instances of the given kind. lanes
-// must be a positive multiple of circuit.WordLanes no larger than
-// circuit.MaxLanes.
+// NewLanePolicies builds one policy instance of the given kind per lane.
+// lanes must be circuit.WordLanes, the width of one batch word.
 func NewLanePolicies(k Kind, l *surfacecode.Layout, proto circuit.Protocol, lanes int) *LanePolicies {
-	if lanes <= 0 || lanes > circuit.MaxLanes || lanes%circuit.WordLanes != 0 {
-		panic(fmt.Sprintf("core: lane count %d not a multiple of %d in (0, %d]",
-			lanes, circuit.WordLanes, circuit.MaxLanes))
+	if lanes != circuit.WordLanes {
+		panic(fmt.Sprintf("core: lane count %d, want %d", lanes, circuit.WordLanes))
 	}
-	words := lanes / circuit.WordLanes
 	lp := &LanePolicies{
 		kind:        k,
 		layout:      l,
-		lanes:       lanes,
-		words:       words,
 		pols:        make([]Policy, lanes),
 		plans:       make([]circuit.Plan, lanes),
-		plannedWord: make([]uint64, l.NumData*words),
+		plannedWord: make([]uint64, l.NumData),
 		events:      make([]uint8, l.NumParity),
 		mlPar:       make([]sim.MLClass, l.NumParity),
 		truth:       make([]bool, l.NumData),
@@ -89,9 +76,6 @@ func NewLanePolicies(k Kind, l *surfacecode.Layout, proto circuit.Protocol, lane
 
 // Name identifies the underlying policy in reports.
 func (lp *LanePolicies) Name() string { return lp.pols[0].Name() }
-
-// Lanes returns the number of policy instances the planner drives.
-func (lp *LanePolicies) Lanes() int { return lp.lanes }
 
 // Reset prepares every lane's instance for a new batch of shots.
 func (lp *LanePolicies) Reset() {
@@ -112,29 +96,23 @@ func (lp *LanePolicies) PlanRound(round int, active circuit.LaneMask) []circuit.
 	}
 	lp.lrcTotal = 0
 	for i := range lp.pols {
-		w, bit := i>>6, uint64(1)<<uint(i&63)
-		if active[w]&bit == 0 {
+		bit := uint64(1) << uint(i)
+		if active&bit == 0 {
 			lp.plans[i] = circuit.Plan{}
 			continue
 		}
 		lp.plans[i] = lp.pols[i].PlanRound(round)
 		lp.lrcTotal += int64(len(lp.plans[i].LRCs))
 		for _, lrc := range lp.plans[i].LRCs {
-			lp.plannedWord[lrc.Data*lp.words+w] |= bit
+			lp.plannedWord[lrc.Data] |= bit
 		}
 	}
 	return lp.plans
 }
 
-// PlannedWord returns the first 64 lanes whose current plan schedules an LRC
-// on data qubit q (the whole answer for a 64-lane planner).
-func (lp *LanePolicies) PlannedWord(q int) uint64 { return lp.plannedWord[q*lp.words] }
-
-// PlannedWords returns all planned-lane words of data qubit q, one per
-// 64-lane sub-word (aliased; valid until the next PlanRound).
-func (lp *LanePolicies) PlannedWords(q int) []uint64 {
-	return lp.plannedWord[q*lp.words : (q+1)*lp.words]
-}
+// PlannedWord returns the lanes whose current plan schedules an LRC on data
+// qubit q.
+func (lp *LanePolicies) PlannedWord(q int) uint64 { return lp.plannedWord[q] }
 
 // LRCTotal returns the number of LRCs in the current round's plans, summed
 // over active lanes.
@@ -151,25 +129,24 @@ func (lp *LanePolicies) Observe(info LaneRoundInfo) {
 	if !needEvents && !needML && !needTruth {
 		return // static policies ignore observations
 	}
-	words := lp.words
-	for i := 0; i < lp.lanes; i++ {
-		w, sh := i>>6, uint(i&63)
-		if (info.Active[w]>>sh)&1 == 0 {
+	for i := range lp.pols {
+		sh := uint(i)
+		if (info.Active>>sh)&1 == 0 {
 			continue
 		}
 		ri := RoundInfo{Round: info.Round}
 		if needEvents {
 			for s := range lp.events {
-				lp.events[s] = uint8((info.Events[s*words+w] >> sh) & 1)
+				lp.events[s] = uint8((info.Events[s] >> sh) & 1)
 			}
 			ri.Events = lp.events
 		}
 		if needML {
 			for s := range lp.mlPar {
 				switch {
-				case (info.MLParityLeak[s*words+w]>>sh)&1 == 1:
+				case (info.MLParityLeak[s]>>sh)&1 == 1:
 					lp.mlPar[s] = sim.MLLeak
-				case info.MLParityVal != nil && (info.MLParityVal[s*words+w]>>sh)&1 == 1:
+				case info.MLParityVal != nil && (info.MLParityVal[s]>>sh)&1 == 1:
 					lp.mlPar[s] = sim.ML1
 				default:
 					lp.mlPar[s] = sim.ML0
@@ -179,7 +156,7 @@ func (lp *LanePolicies) Observe(info LaneRoundInfo) {
 		}
 		if needTruth {
 			for q := range lp.truth {
-				lp.truth[q] = (info.TrueLeakedData[q*words+w]>>sh)&1 == 1
+				lp.truth[q] = (info.TrueLeakedData[q]>>sh)&1 == 1
 			}
 			ri.TrueLeakedData = lp.truth
 		}

@@ -13,16 +13,16 @@ func TestLanePoliciesIndependentLanes(t *testing.T) {
 	l := surfacecode.MustNew(3)
 	lp := NewLanePolicies(PolicyEraser, l, circuit.ProtocolSwap, circuit.WordLanes)
 	lp.Reset()
-	lp.PlanRound(1, circuit.LaneMask{^uint64(0)})
+	lp.PlanRound(1, circuit.LaneMask(^uint64(0)))
 
 	// Fire every stabilizer neighboring data qubit 4 on lane 7 only.
 	events := make([]uint64, l.NumParity)
 	for _, s := range l.DataStabs[4] {
 		events[s] |= 1 << 7
 	}
-	lp.Observe(LaneRoundInfo{Round: 1, Active: circuit.LaneMask{^uint64(0)}, Events: events})
+	lp.Observe(LaneRoundInfo{Round: 1, Active: circuit.LaneMask(^uint64(0)), Events: events})
 
-	plans := lp.PlanRound(2, circuit.LaneMask{^uint64(0)})
+	plans := lp.PlanRound(2, circuit.LaneMask(^uint64(0)))
 	for i, plan := range plans {
 		if i != 7 && len(plan.LRCs) != 0 {
 			t.Fatalf("lane %d: planned %d LRCs from lane 7's events", i, len(plan.LRCs))
@@ -48,13 +48,13 @@ func TestLanePoliciesOptimalReadsTruthWords(t *testing.T) {
 	l := surfacecode.MustNew(3)
 	lp := NewLanePolicies(PolicyOptimal, l, circuit.ProtocolSwap, circuit.WordLanes)
 	lp.Reset()
-	lp.PlanRound(1, circuit.LaneMask{^uint64(0)})
+	lp.PlanRound(1, circuit.LaneMask(^uint64(0)))
 
 	truth := make([]uint64, l.NumData)
 	truth[0] = 1<<2 | 1<<9
-	lp.Observe(LaneRoundInfo{Round: 1, Active: circuit.LaneMask{^uint64(0)}, TrueLeakedData: truth})
+	lp.Observe(LaneRoundInfo{Round: 1, Active: circuit.LaneMask(^uint64(0)), TrueLeakedData: truth})
 
-	lp.PlanRound(2, circuit.LaneMask{^uint64(0)})
+	lp.PlanRound(2, circuit.LaneMask(^uint64(0)))
 	if got := lp.PlannedWord(0); got != 1<<2|1<<9 {
 		t.Fatalf("PlannedWord(0) = %b, want lanes 2 and 9", got)
 	}
@@ -70,7 +70,7 @@ func TestLanePoliciesInactiveLanes(t *testing.T) {
 	l := surfacecode.MustNew(3)
 	lp := NewLanePolicies(PolicyOptimal, l, circuit.ProtocolSwap, circuit.WordLanes)
 	lp.Reset()
-	active := circuit.LaneMask{0b11} // only lanes 0 and 1
+	active := circuit.LaneMask(0b11) // only lanes 0 and 1
 	lp.PlanRound(1, active)
 
 	truth := make([]uint64, l.NumData)
@@ -86,48 +86,5 @@ func TestLanePoliciesInactiveLanes(t *testing.T) {
 	}
 	if lp.LRCTotal() != 1 {
 		t.Fatalf("LRCTotal = %d, want 1", lp.LRCTotal())
-	}
-}
-
-// TestLanePoliciesWideWords: a planner built at circuit.MaxLanes consumes
-// and produces the wide engine's flat stride-MaskWords planes, routing each
-// sub-word's observations to the right lane instances.
-func TestLanePoliciesWideWords(t *testing.T) {
-	l := surfacecode.MustNew(3)
-	words := circuit.MaskWords
-	lp := NewLanePolicies(PolicyOptimal, l, circuit.ProtocolSwap, circuit.MaxLanes)
-	if lp.Lanes() != circuit.MaxLanes {
-		t.Fatalf("Lanes() = %d, want %d", lp.Lanes(), circuit.MaxLanes)
-	}
-	lp.Reset()
-	full := circuit.LaneMaskFor(circuit.MaxLanes)
-	lp.PlanRound(1, full)
-
-	// Leak data qubit 0 on lane 2 of sub-word 0, lane 5 of sub-word 1 and
-	// lane 63 of sub-word 3 (global lanes 2, 69, 255).
-	truth := make([]uint64, l.NumData*words)
-	truth[0*words+0] = 1 << 2
-	truth[0*words+1] = 1 << 5
-	truth[0*words+3] = 1 << 63
-	lp.Observe(LaneRoundInfo{Round: 1, Active: full, TrueLeakedData: truth})
-
-	plans := lp.PlanRound(2, full)
-	for _, lane := range []int{2, 69, 255} {
-		if len(plans[lane].LRCs) != 1 || plans[lane].LRCs[0].Data != 0 {
-			t.Fatalf("lane %d plans %+v, want one LRC on qubit 0", lane, plans[lane].LRCs)
-		}
-	}
-	want := []uint64{1 << 2, 1 << 5, 0, 1 << 63}
-	got := lp.PlannedWords(0)
-	for w := range want {
-		if got[w] != want[w] {
-			t.Fatalf("PlannedWords(0)[%d] = %b, want %b", w, got[w], want[w])
-		}
-	}
-	if lp.PlannedWord(0) != 1<<2 {
-		t.Fatalf("PlannedWord(0) = %b, want sub-word 0 only", lp.PlannedWord(0))
-	}
-	if lp.LRCTotal() != 3 {
-		t.Fatalf("LRCTotal = %d, want 3", lp.LRCTotal())
 	}
 }

@@ -90,18 +90,5 @@ func (c *BatchCollector) AddWords(words []uint64, m []StabMap, round int, active
 	}
 }
 
-// AddWideWords is AddWords for the wide engine's flat stride-`stride` event
-// planes: it fans out sub-word `sub` (the 64 lanes of one work unit) of each
-// mapped stabilizer, reading words[Idx*stride+sub]. Collectors stay one per
-// 64-lane unit, so everything downstream of the sim→decode boundary is
-// untouched by block width.
-func (c *BatchCollector) AddWideWords(words []uint64, stride, sub int, m []StabMap, round int, active uint64) {
-	for _, ks := range m {
-		if word := words[int(ks.Idx)*stride+sub] & active; word != 0 {
-			c.Add(word, int(ks.Ord), round)
-		}
-	}
-}
-
 // Lane returns lane i's accumulated events, aliasing the internal buffer.
 func (c *BatchCollector) Lane(i int) []Event { return c.lanes[i] }

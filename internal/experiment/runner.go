@@ -74,29 +74,6 @@ type Config struct {
 	// eligible static policies; benchmarks and engine-agreement tests use it
 	// to pit the two simulators against each other.
 	ForceScalar bool
-	// ForceNarrow keeps the batch path on the single-word (64-lane) engine,
-	// disabling the 256-lane wide blocks. Units are bit-identical either way
-	// — the wide engine runs 4 units on 4 independent per-unit RNG streams —
-	// so ForceNarrow does not enter Config.Key or the RNG stream; benchmarks
-	// and the wide/narrow agreement tests use it to compare the engines.
-	ForceNarrow bool
-}
-
-// BlockUnits is the number of consecutive 64-lane work units one wide block
-// advances together.
-const BlockUnits = batch.BlockWords
-
-// UnitAlign returns the unit-range alignment the config's engine prefers:
-// BlockUnits on the wide batch path — schedulers that round chunk bounds to
-// multiples of it keep every block whole, so no unit falls back to the
-// single-word engine mid-range — and 1 when only single-unit paths run.
-// Alignment is a throughput hint, not a correctness requirement: unaligned
-// ranges run the stray units on the narrow engine with identical results.
-func (c Config) UnitAlign() int {
-	if batchEligible(c) && !c.ForceNarrow {
-		return BlockUnits
-	}
-	return 1
 }
 
 // batchEligible reports whether the experiment can run on the word-parallel
@@ -226,22 +203,12 @@ func (c Config) NumUnits() int {
 type Metrics struct {
 	SimNS    int64
 	DecodeNS int64
-
-	// WideUnits, NarrowUnits and ScalarUnits count the executed work units by
-	// the engine width that ran them: 256-lane wide blocks (4 units each),
-	// the single-word 64-lane engine, and the scalar per-shot simulator.
-	WideUnits   int64
-	NarrowUnits int64
-	ScalarUnits int64
 }
 
 // Add accumulates other into m.
 func (m *Metrics) Add(other Metrics) {
 	m.SimNS += other.SimNS
 	m.DecodeNS += other.DecodeNS
-	m.WideUnits += other.WideUnits
-	m.NarrowUnits += other.NarrowUnits
-	m.ScalarUnits += other.ScalarUnits
 }
 
 // Run executes the experiment at its configured shot count and derives the
@@ -341,18 +308,12 @@ func runUnitRange(ctx context.Context, cfg Config, lo, hi, shotsCap int) (*Tally
 	}
 
 	useBatch := batchEligible(cfg)
-	// Workers stride over schedulable items: 4-unit blocks on the wide batch
-	// path, single units otherwise.
-	items := hi - lo
-	if align := cfg.UnitAlign(); align > 1 {
-		items = (hi+align-1)/align - lo/align
-	}
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > items {
-		workers = items
+	if workers > hi-lo {
+		workers = hi - lo
 	}
 	if workers < 1 {
 		workers = 1
@@ -371,12 +332,9 @@ func runUnitRange(ctx context.Context, cfg Config, lo, hi, shotsCap int) (*Tally
 		go func(w int) {
 			defer wg.Done()
 			sink := newDecodeSink(pipe, newEngine)
-			switch {
-			case useBatch && staticPlans(cfg.Policy):
-				runBatchWorker(ctx, cfg, layout, sink, rounds, np, rates, seeds, lo, hi, shotsCap, w, workers, acc, &workerMetrics[w])
-			case useBatch:
-				runBatchLaneWorker(ctx, cfg, layout, sink, rounds, np, rates, seeds, lo, hi, shotsCap, w, workers, acc, &workerMetrics[w])
-			default:
+			if useBatch {
+				runBatchWorker(ctx, cfg, layout, sink, rounds, np, rates, seeds, lo, hi, shotsCap, w, workers, acc)
+			} else {
 				runWorker(ctx, cfg, layout, newEngine(), rounds, np, rates, seeds, lo, hi, w, workers, acc, &workerMetrics[w])
 			}
 			workerMetrics[w].SimNS += sink.simNS
@@ -469,7 +427,7 @@ func (p *decodePipeline) decodeWorker(newEngine func() decoder.BatchDecoder) {
 		t0 := time.Now()
 		pred := eng.DecodeLanes(t.u.col, t.lo, t.hi)
 		ns += time.Since(t0).Nanoseconds()
-		mask := batch.LaneMask(t.hi) &^ batch.LaneMask(t.lo)
+		mask := circuit.LaneMaskFor(t.hi) &^ circuit.LaneMaskFor(t.lo)
 		errs += int64(bits.OnesCount64((pred ^ t.u.obs) & t.u.active & mask))
 		if t.u.refs.Add(-1) == 0 {
 			select {
@@ -526,16 +484,13 @@ func (p *decodePipeline) close() {
 // decodeSink is a sim worker's hand-off point to the decode stage. In
 // pipelined mode units go to the shared decode pool; in inline mode (single
 // worker, or scalar fallback ineligible for batching) the worker decodes
-// its own units with its own engine and arenas. A sink holds up to
-// BlockUnits units in flight — one slot per sub-word of a wide block — so a
-// wide sim step fans out to per-unit collectors while everything downstream
-// of the sim→decode boundary stays 64-lane.
+// its own units with its own engine and arenas.
 type decodeSink struct {
 	pipe *decodePipeline
-	cur  [BlockUnits]*unitTask
+	cur  *unitTask
 
-	eng  decoder.BatchDecoder
-	cols [BlockUnits]*decoder.BatchCollector
+	eng decoder.BatchDecoder
+	col *decoder.BatchCollector
 
 	simNS    int64
 	decodeNS int64
@@ -545,42 +500,31 @@ func newDecodeSink(pipe *decodePipeline, newEngine func() decoder.BatchDecoder) 
 	if pipe != nil {
 		return &decodeSink{pipe: pipe}
 	}
-	return &decodeSink{eng: newEngine()}
+	return &decodeSink{eng: newEngine(), col: decoder.NewBatchCollector()}
 }
 
-// begin returns the empty collector for the next (single) unit.
-func (sk *decodeSink) begin() *decoder.BatchCollector { return sk.beginSlot(0) }
-
-// beginSlot returns the empty collector for the unit in slot i.
-func (sk *decodeSink) beginSlot(i int) *decoder.BatchCollector {
+// begin returns the empty collector for the next unit.
+func (sk *decodeSink) begin() *decoder.BatchCollector {
 	if sk.pipe != nil {
-		sk.cur[i] = sk.pipe.get()
-		return sk.cur[i].col
+		sk.cur = sk.pipe.get()
+		return sk.cur.col
 	}
-	if sk.cols[i] == nil {
-		sk.cols[i] = decoder.NewBatchCollector()
-	}
-	sk.cols[i].Reset()
-	return sk.cols[i]
+	sk.col.Reset()
+	return sk.col
 }
 
-// finish completes a single unit whose collector holds every detector layer:
+// finish completes a unit whose collector holds every detector layer:
 // pipelined units are handed off, inline units decode immediately into acc.
 func (sk *decodeSink) finish(obs, active uint64, lanes int, acc *Tally) {
-	sk.finishSlot(0, obs, active, lanes, acc)
-}
-
-// finishSlot is finish for the unit in slot i.
-func (sk *decodeSink) finishSlot(i int, obs, active uint64, lanes int, acc *Tally) {
 	if sk.pipe != nil {
-		ut := sk.cur[i]
-		sk.cur[i] = nil
+		ut := sk.cur
+		sk.cur = nil
 		ut.obs, ut.active, ut.lanes = obs, active, lanes
 		sk.pipe.submit(ut)
 		return
 	}
 	t0 := time.Now()
-	pred := sk.eng.DecodeLanes(sk.cols[i], 0, lanes)
+	pred := sk.eng.DecodeLanes(sk.col, 0, lanes)
 	sk.decodeNS += time.Since(t0).Nanoseconds()
 	acc.LogicalErrors += bits.OnesCount64((pred ^ obs) & active)
 }
@@ -673,7 +617,6 @@ func runWorker(ctx context.Context, cfg Config, layout *surfacecode.Layout, dec 
 		if predicted != s.ObservableFlip(final) {
 			acc.LogicalErrors++
 		}
-		m.ScalarUnits++
 	}
 }
 
@@ -689,313 +632,116 @@ func kindStabs(layout *surfacecode.Layout, basis surfacecode.Kind) []decoder.Sta
 	return ks
 }
 
-// blockRange clamps block blk's unit range to [lo, hi).
-func blockRange(blk, align, lo, hi int) (a, bnd int) {
-	a, bnd = blk*align, (blk+1)*align
-	if a < lo {
-		a = lo
-	}
-	if bnd > hi {
-		bnd = hi
-	}
-	return a, bnd
-}
-
 // runBatchWorker is runWorker's word-parallel counterpart: each work unit is
 // a batch of up to 64 shots running through the bit-packed simulator, with
 // detection events fanned out to per-lane lists for decoding. Static
-// policies plan identically for every lane, so one plan and one op sequence
-// per round serve the whole batch. Workers stride over 4-unit blocks: a
-// whole block at full width runs on the 256-lane wide engine (4 independent
-// per-unit RNG streams, bit-identical to 4 serial narrow units), while
-// partial blocks at range or shot-cap edges fall back unit by unit to the
-// single-word engine. Decoding goes through the sink: inline on
-// single-worker runs, pipelined to the decode pool otherwise.
+// NoLRC/Always policies plan identically for every lane, so one policy
+// instance and one unmasked op sequence per round serve the whole batch.
+// Adaptive policies run one instance per lane (core.LanePolicies): per round
+// the per-lane plans are merged into one lane-masked op sequence — every lane
+// shares the syndrome-extraction skeleton, only the LRC ops differ by lane —
+// and the engine's event, readout and ground-truth words are fanned back out
+// to the instances. The plan source is the only per-round difference; unit
+// seeding, decision accounting, LPR, collection and the final round are
+// shared. Decoding goes through the sink: inline on single-worker runs,
+// pipelined to the decode pool otherwise.
 func runBatchWorker(ctx context.Context, cfg Config, layout *surfacecode.Layout, sink *decodeSink,
-	rounds int, np noise.Params, rates *device.Rates, batchSeeds []uint64, lo, hi, shotsCap, w, stride int, acc *Tally, m *Metrics) {
+	rounds int, np noise.Params, rates *device.Rates, batchSeeds []uint64, lo, hi, shotsCap, w, stride int, acc *Tally) {
 
 	builder := circuit.NewBuilder(layout)
-	pol := core.NewPolicy(cfg.Policy, layout, cfg.Protocol)
 	kstabs := kindStabs(layout, cfg.Basis)
-	var bs *batch.Simulator // narrow engine, built on first partial block
-	var ws *batch.Wide      // wide engine, built on first whole block
-
-	align := 1
-	if !cfg.ForceNarrow {
-		align = BlockUnits
+	bs := batch.New(layout, np, cfg.Basis)
+	bs.UseRates(rates)
+	bs.TrackML = cfg.Policy == core.PolicyEraserM
+	var pol core.Policy // static plans
+	var lp *core.LanePolicies
+	if staticPlans(cfg.Policy) {
+		pol = core.NewPolicy(cfg.Policy, layout, cfg.Protocol)
+	} else {
+		lp = core.NewLanePolicies(cfg.Policy, layout, cfg.Protocol, batch.Lanes)
 	}
-	for blk := lo/align + w; blk < (hi+align-1)/align; blk += stride {
+	var active uint64
+	// staticPlanned is a static plan's planned-lane word: every active lane
+	// or none.
+	staticPlanned := func(q int) uint64 {
+		if pol.PlannedLRC(q) {
+			return active
+		}
+		return 0
+	}
+
+	for b := lo + w; b < hi; b += stride {
+		// Cancellation is checked only between units, as in runWorker.
 		if ctx.Err() != nil {
 			return
 		}
-		a, bnd := blockRange(blk, align, lo, hi)
-		if bnd-a == BlockUnits && shotsCap >= bnd*batch.Lanes {
-			u0 := time.Now()
-			if ws == nil {
-				ws = batch.NewWide(layout, np, cfg.Basis)
-				ws.UseRates(rates)
-			}
-			var rngs [batch.BlockWords]*stats.RNG
-			var cols [BlockUnits]*decoder.BatchCollector
-			for j := 0; j < BlockUnits; j++ {
-				b := a + j
-				acc.Covered.Add(b)
-				rngs[j] = stats.NewRNG(batchSeeds[b], uint64(b))
-				cols[j] = sink.beginSlot(j)
-			}
-			acc.Shots += batch.BlockLanes
-			ws.Reset(rngs)
-			pol.Reset()
-
-			for r := 1; r <= rounds; r++ {
-				plan := pol.PlanRound(r)
-				acc.LRCs += int64(len(plan.LRCs)) * int64(batch.BlockLanes)
-				for q := 0; q < layout.NumData; q++ {
-					lk := ws.LeakedBlock(q)
-					leakedCnt := int64(bits.OnesCount64(lk[0]) + bits.OnesCount64(lk[1]) +
-						bits.OnesCount64(lk[2]) + bits.OnesCount64(lk[3]))
-					if pol.PlannedLRC(q) {
-						acc.TruePos += leakedCnt
-						acc.FalsePos += int64(batch.BlockLanes) - leakedCnt
-					} else {
-						acc.FalseNeg += leakedCnt
-						acc.TrueNeg += int64(batch.BlockLanes) - leakedCnt
-					}
-				}
-
-				events := ws.RunRound(builder.Round(plan))
-				for j := 0; j < BlockUnits; j++ {
-					cols[j].AddWideWords(events, batch.BlockWords, j, kstabs, r, batch.AllLanes)
-				}
-				dleak, pleak := ws.LeakedCounts(batch.BlockMask(batch.BlockLanes))
-				acc.LPRDataNum[r-1] += int64(dleak)
-				acc.LPRParityNum[r-1] += int64(pleak)
-			}
-
-			fdet, obs := ws.FinalRound(builder.FinalMeasurement())
-			for j := 0; j < BlockUnits; j++ {
-				cols[j].AddWideWords(fdet, batch.BlockWords, j, kstabs, rounds+1, batch.AllLanes)
-			}
-			sink.simNS += time.Since(u0).Nanoseconds()
-			for j := 0; j < BlockUnits; j++ {
-				sink.finishSlot(j, obs[j], batch.AllLanes, batch.Lanes, acc)
-			}
-			m.WideUnits += int64(BlockUnits)
-			continue
+		u0 := time.Now()
+		lanes := batch.Lanes
+		if rem := shotsCap - b*batch.Lanes; rem < lanes {
+			lanes = rem
 		}
-
-		for b := a; b < bnd; b++ {
-			if ctx.Err() != nil {
-				return
-			}
-			u0 := time.Now()
-			if bs == nil {
-				bs = batch.New(layout, np, cfg.Basis)
-				bs.UseRates(rates)
-			}
-			lanes := batch.Lanes
-			if rem := shotsCap - b*batch.Lanes; rem < lanes {
-				lanes = rem
-			}
-			acc.Covered.Add(b)
-			acc.Shots += lanes
-			active := batch.LaneMask(lanes)
-			bs.Reset(stats.NewRNG(batchSeeds[b], uint64(b)))
+		active = circuit.LaneMaskFor(lanes)
+		acc.Covered.Add(b)
+		acc.Shots += lanes
+		bs.Reset(stats.NewRNG(batchSeeds[b], uint64(b)))
+		if lp != nil {
+			lp.Reset()
+		} else {
 			pol.Reset()
-			col := sink.begin()
+		}
+		col := sink.begin()
 
-			for r := 1; r <= rounds; r++ {
+		for r := 1; r <= rounds; r++ {
+			var events []uint64
+			if lp == nil {
 				plan := pol.PlanRound(r)
 				acc.LRCs += int64(len(plan.LRCs)) * int64(lanes)
-				// Decision accounting against the leakage state at the end of
-				// the previous round, as in the scalar path.
-				for q := 0; q < layout.NumData; q++ {
-					leakedCnt := int64(bits.OnesCount64(bs.LeakedWord(q) & active))
-					if pol.PlannedLRC(q) {
-						acc.TruePos += leakedCnt
-						acc.FalsePos += int64(lanes) - leakedCnt
-					} else {
-						acc.FalseNeg += leakedCnt
-						acc.TrueNeg += int64(lanes) - leakedCnt
-					}
-				}
-
-				events := bs.RunRound(builder.Round(plan))
-				col.AddWords(events, kstabs, r, active)
-				dleak, pleak := bs.LeakedCounts(active)
-				acc.LPRDataNum[r-1] += int64(dleak)
-				acc.LPRParityNum[r-1] += int64(pleak)
-			}
-
-			fdet, obs := bs.FinalRound(builder.FinalMeasurement())
-			col.AddWords(fdet, kstabs, rounds+1, active)
-			sink.simNS += time.Since(u0).Nanoseconds()
-			sink.finish(obs, active, lanes, acc)
-			m.NarrowUnits++
-		}
-	}
-}
-
-// runBatchLaneWorker is the adaptive policies' word-parallel counterpart of
-// runBatchWorker: each work unit is a batch of up to 64 shots whose lanes
-// each carry an independent instance of the policy (core.LanePolicies). Per
-// round the per-lane plans are merged into one lane-masked op sequence —
-// every lane shares the syndrome-extraction skeleton, only the LRC ops
-// differ by lane — and the engine's event, readout and ground-truth words
-// are fanned back out to the per-lane instances. Whole 4-unit blocks run
-// 256 policy instances against the wide engine; partial blocks fall back
-// unit by unit to the 64-lane engine. Decoding goes through the sink:
-// inline on single-worker runs, pipelined to the decode pool otherwise.
-func runBatchLaneWorker(ctx context.Context, cfg Config, layout *surfacecode.Layout, sink *decodeSink,
-	rounds int, np noise.Params, rates *device.Rates, batchSeeds []uint64, lo, hi, shotsCap, w, stride int, acc *Tally, m *Metrics) {
-
-	builder := circuit.NewBuilder(layout)
-	kstabs := kindStabs(layout, cfg.Basis)
-	trackML := cfg.Policy == core.PolicyEraserM
-	var bs *batch.Simulator // narrow engine + 64 lane policies (partial blocks)
-	var lp *core.LanePolicies
-	var ws *batch.Wide // wide engine + 256 lane policies (whole blocks)
-	var lpw *core.LanePolicies
-
-	align := 1
-	if !cfg.ForceNarrow {
-		align = BlockUnits
-	}
-	for blk := lo/align + w; blk < (hi+align-1)/align; blk += stride {
-		if ctx.Err() != nil {
-			return
-		}
-		a, bnd := blockRange(blk, align, lo, hi)
-		if bnd-a == BlockUnits && shotsCap >= bnd*batch.Lanes {
-			u0 := time.Now()
-			if ws == nil {
-				ws = batch.NewWide(layout, np, cfg.Basis)
-				ws.UseRates(rates)
-				ws.TrackML = trackML
-				lpw = core.NewLanePolicies(cfg.Policy, layout, cfg.Protocol, batch.BlockLanes)
-			}
-			var rngs [batch.BlockWords]*stats.RNG
-			var cols [BlockUnits]*decoder.BatchCollector
-			for j := 0; j < BlockUnits; j++ {
-				b := a + j
-				acc.Covered.Add(b)
-				rngs[j] = stats.NewRNG(batchSeeds[b], uint64(b))
-				cols[j] = sink.beginSlot(j)
-			}
-			acc.Shots += batch.BlockLanes
-			ws.Reset(rngs)
-			lpw.Reset()
-			activeB := batch.BlockMask(batch.BlockLanes)
-
-			for r := 1; r <= rounds; r++ {
-				plans := lpw.PlanRound(r, activeB)
-				acc.LRCs += lpw.LRCTotal()
-				for q := 0; q < layout.NumData; q++ {
-					planned := lpw.PlannedWords(q)
-					leaked := ws.LeakedBlock(q)
-					var tp, fp, fn int64
-					for j := 0; j < batch.BlockWords; j++ {
-						tp += int64(bits.OnesCount64(planned[j] & leaked[j]))
-						fp += int64(bits.OnesCount64(planned[j] &^ leaked[j]))
-						fn += int64(bits.OnesCount64(leaked[j] &^ planned[j]))
-					}
-					acc.TruePos += tp
-					acc.FalsePos += fp
-					acc.FalseNeg += fn
-					acc.TrueNeg += int64(batch.BlockLanes) - tp - fp - fn
-				}
-
-				events := ws.RunRoundMasked(builder.MaskedRound(plans, activeB))
-				for j := 0; j < BlockUnits; j++ {
-					cols[j].AddWideWords(events, batch.BlockWords, j, kstabs, r, batch.AllLanes)
-				}
-				dleak, pleak := ws.LeakedCounts(activeB)
-				acc.LPRDataNum[r-1] += int64(dleak)
-				acc.LPRParityNum[r-1] += int64(pleak)
-
-				lpw.Observe(core.LaneRoundInfo{
-					Round:          r,
-					Active:         activeB,
-					Events:         events,
-					MLParityLeak:   ws.MLParityLeak(),
-					MLParityVal:    ws.MLParityVal(),
-					TrueLeakedData: ws.LeakedDataWords(),
-				})
-			}
-
-			fdet, obs := ws.FinalRound(builder.FinalMeasurement())
-			for j := 0; j < BlockUnits; j++ {
-				cols[j].AddWideWords(fdet, batch.BlockWords, j, kstabs, rounds+1, batch.AllLanes)
-			}
-			sink.simNS += time.Since(u0).Nanoseconds()
-			for j := 0; j < BlockUnits; j++ {
-				sink.finishSlot(j, obs[j], batch.AllLanes, batch.Lanes, acc)
-			}
-			m.WideUnits += int64(BlockUnits)
-			continue
-		}
-
-		for b := a; b < bnd; b++ {
-			if ctx.Err() != nil {
-				return
-			}
-			u0 := time.Now()
-			if bs == nil {
-				bs = batch.New(layout, np, cfg.Basis)
-				bs.UseRates(rates)
-				bs.TrackML = trackML
-				lp = core.NewLanePolicies(cfg.Policy, layout, cfg.Protocol, batch.Lanes)
-			}
-			lanes := batch.Lanes
-			if rem := shotsCap - b*batch.Lanes; rem < lanes {
-				lanes = rem
-			}
-			acc.Covered.Add(b)
-			acc.Shots += lanes
-			active := batch.LaneMask(lanes)
-			bs.Reset(stats.NewRNG(batchSeeds[b], uint64(b)))
-			lp.Reset()
-			col := sink.begin()
-
-			for r := 1; r <= rounds; r++ {
-				plans := lp.PlanRound(r, circuit.LaneMask{active})
+				acc.addDecisions(bs, active, lanes, staticPlanned)
+				// The ops apply to all 64 lanes even on a partial unit:
+				// masking them to the active lanes would draw fewer randoms
+				// and change the unit's tally.
+				events = bs.RunRound(builder.Round(plan))
+			} else {
+				plans := lp.PlanRound(r, active)
 				acc.LRCs += lp.LRCTotal()
-				// Decision accounting against the leakage state at the end of
-				// the previous round, as in the scalar path.
-				for q := 0; q < layout.NumData; q++ {
-					planned := lp.PlannedWord(q)
-					leaked := bs.LeakedWord(q) & active
-					tp := int64(bits.OnesCount64(planned & leaked))
-					fp := int64(bits.OnesCount64(planned &^ leaked))
-					fn := int64(bits.OnesCount64(leaked &^ planned))
-					acc.TruePos += tp
-					acc.FalsePos += fp
-					acc.FalseNeg += fn
-					acc.TrueNeg += int64(lanes) - tp - fp - fn
-				}
-
-				events := bs.RunRoundMasked(builder.MaskedRound(plans, circuit.LaneMask{active}))
-				col.AddWords(events, kstabs, r, active)
-				dleak, pleak := bs.LeakedCounts(active)
-				acc.LPRDataNum[r-1] += int64(dleak)
-				acc.LPRParityNum[r-1] += int64(pleak)
-
+				acc.addDecisions(bs, active, lanes, lp.PlannedWord)
+				events = bs.RunRoundMasked(builder.MaskedRound(plans, active))
 				lp.Observe(core.LaneRoundInfo{
 					Round:          r,
-					Active:         circuit.LaneMask{active},
+					Active:         active,
 					Events:         events,
 					MLParityLeak:   bs.MLParityLeak(),
 					MLParityVal:    bs.MLParityVal(),
 					TrueLeakedData: bs.LeakedDataWords(),
 				})
 			}
-
-			fdet, obs := bs.FinalRound(builder.FinalMeasurement())
-			col.AddWords(fdet, kstabs, rounds+1, active)
-			sink.simNS += time.Since(u0).Nanoseconds()
-			sink.finish(obs, active, lanes, acc)
-			m.NarrowUnits++
+			col.AddWords(events, kstabs, r, active)
+			dleak, pleak := bs.LeakedCounts(active)
+			acc.LPRDataNum[r-1] += int64(dleak)
+			acc.LPRParityNum[r-1] += int64(pleak)
 		}
+
+		fdet, obs := bs.FinalRound(builder.FinalMeasurement())
+		col.AddWords(fdet, kstabs, rounds+1, active)
+		sink.simNS += time.Since(u0).Nanoseconds()
+		sink.finish(obs, active, lanes, acc)
+	}
+}
+
+// addDecisions scores one round's LRC decisions against the leakage state at
+// the end of the previous round, as in the scalar path; planned(q) returns
+// the lanes scheduling an LRC on data qubit q.
+func (t *Tally) addDecisions(bs *batch.Simulator, active uint64, lanes int, planned func(q int) uint64) {
+	for q := 0; q < bs.Layout.NumData; q++ {
+		p := planned(q)
+		leaked := bs.LeakedWord(q) & active
+		tp := int64(bits.OnesCount64(p & leaked))
+		fp := int64(bits.OnesCount64(p &^ leaked))
+		fn := int64(bits.OnesCount64(leaked &^ p))
+		t.TruePos += tp
+		t.FalsePos += fp
+		t.FalseNeg += fn
+		t.TrueNeg += int64(lanes) - tp - fp - fn
 	}
 }
 

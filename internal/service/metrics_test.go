@@ -65,12 +65,6 @@ func TestMetricsColdWarmCounters(t *testing.T) {
 	if units == 0 || units != float64(sched.UnitsExecuted()) {
 		t.Fatalf("leak_sched_units_total = %v, scheduler says %d", units, sched.UnitsExecuted())
 	}
-	byWidth := mustValue(t, cold, "leak_sched_units_by_width_total", "width", "256") +
-		mustValue(t, cold, "leak_sched_units_by_width_total", "width", "64") +
-		mustValue(t, cold, "leak_sched_units_by_width_total", "width", "1")
-	if byWidth != units {
-		t.Fatalf("width-split units sum to %v, unlabeled total is %v", byWidth, units)
-	}
 	if v := mustValue(t, cold, "leak_sched_jobs_total", "outcome", "done"); v != 1 {
 		t.Fatalf("jobs done = %v, want 1", v)
 	}

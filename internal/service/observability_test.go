@@ -3,6 +3,7 @@ package service
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"log/slog"
 	"net/http"
@@ -267,5 +268,18 @@ func TestSchedulerLogCorrelation(t *testing.T) {
 	}
 	if !byMsgJob["job admitted/"+warm.ID][0].Warm {
 		t.Fatal("warm admission not marked warm")
+	}
+}
+
+// TestDefaultLoggerDisabled: without Options.Logger the scheduler's logger
+// must report every level disabled, so log call sites skip building and
+// formatting records on the hot path.
+func TestDefaultLoggerDisabled(t *testing.T) {
+	sched := newTestScheduler(t, t.TempDir())
+	h := sched.Logger().Handler()
+	for _, lvl := range []slog.Level{slog.LevelDebug, slog.LevelInfo, slog.LevelWarn, slog.LevelError} {
+		if h.Enabled(context.Background(), lvl) {
+			t.Errorf("default logger enabled at %v", lvl)
+		}
 	}
 }

@@ -31,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"log/slog"
 	"math/rand/v2"
 	"runtime"
@@ -203,13 +202,6 @@ type Scheduler struct {
 	log *slog.Logger
 
 	units atomic.Int64
-	// wideUnits/narrowUnits/scalarUnits split the executed-unit total by the
-	// engine width that ran them (256-lane wide blocks, 64-lane narrow words,
-	// scalar). Width is a throughput property, never a correctness one — the
-	// totals feed observability only.
-	wideUnits   atomic.Int64
-	narrowUnits atomic.Int64
-	scalarUnits atomic.Int64
 	// simNS/decodeNS aggregate the per-chunk stage timing (experiment.Metrics)
 	// across every job, keeping the sim/decode balance observable on
 	// /v1/healthz without a metrics dependency; the finer-grained per-chunk
@@ -248,7 +240,7 @@ func NewWithOptions(st *store.Store, opts Options) *Scheduler {
 		opts.Registry = metrics.NewRegistry()
 	}
 	if opts.Logger == nil {
-		opts.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+		opts.Logger = slog.New(slog.DiscardHandler)
 	}
 	ctx, cancel := context.WithCancelCause(context.Background())
 	s := &Scheduler{
@@ -327,12 +319,6 @@ func (s *Scheduler) UnitsExecuted() int64 { return s.units.Load() }
 // simulation and decode stages across every chunk this scheduler has run.
 func (s *Scheduler) StageNanos() (simNS, decodeNS int64) {
 	return s.simNS.Load(), s.decodeNS.Load()
-}
-
-// UnitsByWidth splits UnitsExecuted by the engine width that ran each unit:
-// 256-lane wide blocks, 64-lane narrow words, and the scalar path.
-func (s *Scheduler) UnitsByWidth() (wide, narrow, scalar int64) {
-	return s.wideUnits.Load(), s.narrowUnits.Load(), s.scalarUnits.Load()
 }
 
 // Pending returns the number of admitted cold jobs not yet finished.
@@ -980,18 +966,7 @@ func needUnits(cfg experiment.Config, prec Precision, t *experiment.Tally) int {
 	if t.Shots+next > maxShots {
 		next = maxShots - t.Shots
 	}
-	units := (next + us - 1) / us
-	// Round adaptive growth up to the wide engine's block size so chunks run
-	// as full 4-unit blocks instead of stranding ragged narrow tails — unless
-	// the extra units would bust the shot budget, where the ragged (narrow)
-	// tail is the correct trade. Fixed-count mode is never rounded: it must
-	// cover exactly NumUnits.
-	if align := cfg.UnitAlign(); align > 1 {
-		if aligned := (units + align - 1) / align * align; t.Shots+aligned*us <= maxShots {
-			units = aligned
-		}
-	}
-	return units
+	return (next + us - 1) / us
 }
 
 // runChunk simulates units [lo, hi), fanning contiguous subranges across the
@@ -1007,26 +982,12 @@ func (s *Scheduler) runChunk(ctx context.Context, cfg experiment.Config, lo, hi 
 	if parts > n {
 		parts = n
 	}
-	// Interior split points floor to the wide engine's block boundaries so a
-	// chunk fanned across the pool doesn't shred its 4-unit blocks into
-	// narrow fragments; the chunk's own ends stay ragged if the caller's
-	// range is (alignment only redistributes work, never changes results).
-	align := cfg.UnitAlign()
-	bound := func(i int) int {
-		r := lo + i*n/parts
-		if align > 1 && r > lo && r < hi {
-			if f := r / align * align; f >= lo {
-				r = f
-			}
-		}
-		return r
-	}
 	tallies := make([]*experiment.Tally, parts)
 	metrics := make([]experiment.Metrics, parts)
 	errs := make([]error, parts)
 	var wg sync.WaitGroup
 	for i := 0; i < parts; i++ {
-		a, b := bound(i), bound(i+1)
+		a, b := lo+i*n/parts, lo+(i+1)*n/parts
 		if a == b {
 			continue
 		}
@@ -1076,9 +1037,6 @@ func (s *Scheduler) runChunk(ctx context.Context, cfg experiment.Config, lo, hi 
 	}
 	s.simNS.Add(m.SimNS)
 	s.decodeNS.Add(m.DecodeNS)
-	s.wideUnits.Add(m.WideUnits)
-	s.narrowUnits.Add(m.NarrowUnits)
-	s.scalarUnits.Add(m.ScalarUnits)
 	if total == nil && firstErr == nil {
 		firstErr = fmt.Errorf("service: empty chunk [%d, %d)", lo, hi)
 	}

@@ -18,28 +18,6 @@ func newTestScheduler(t *testing.T, dir string) *Scheduler {
 	return New(st, 0)
 }
 
-// TestUnitsByWidth: a block-aligned fixed-count job runs entirely as
-// 256-lane wide blocks even when its chunk is fanned across the worker pool
-// (split points floor to block boundaries), and the width split sums to the
-// unit total.
-func TestUnitsByWidth(t *testing.T) {
-	sched := newTestScheduler(t, t.TempDir())
-	cfg := experiment.Config{Distance: 3, Cycles: 2, P: 2e-3, Shots: 8 * 64,
-		Seed: 21, Policy: core.PolicyEraser}
-	if _, err := sched.Run(cfg, Precision{}); err != nil {
-		t.Fatal(err)
-	}
-	wide, narrow, scalar := sched.UnitsByWidth()
-	if wide+narrow+scalar != sched.UnitsExecuted() {
-		t.Fatalf("width split %d+%d+%d does not sum to %d units",
-			wide, narrow, scalar, sched.UnitsExecuted())
-	}
-	if wide != 8 || narrow != 0 || scalar != 0 {
-		t.Fatalf("aligned job ran wide=%d narrow=%d scalar=%d, want 8/0/0",
-			wide, narrow, scalar)
-	}
-}
-
 func figOpts(runner func(experiment.Config) experiment.Result) experiment.Options {
 	return experiment.Options{
 		Shots:     128,

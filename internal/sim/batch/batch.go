@@ -53,32 +53,8 @@ const WordLanes = circuit.WordLanes
 // Lanes is WordLanes under its historical name.
 const Lanes = WordLanes
 
-// BlockWords is the number of 64-lane words the wide engine advances per
-// plane operation; BlockLanes is the resulting shots-per-block.
-const BlockWords = circuit.MaskWords
-
-// BlockLanes is the number of shots one wide block carries (4 work units).
-const BlockLanes = BlockWords * WordLanes
-
-// Block is one wide plane word: BlockWords consecutive 64-lane words, word w
-// holding sub-word w's lanes. It is the same type as circuit.LaneMask, so
-// masked ops feed the wide engine without conversion.
-type Block = circuit.LaneMask
-
 // AllLanes is the lane mask with every lane active.
 const AllLanes = ^uint64(0)
-
-// LaneMask returns the mask selecting the first n lanes (the active lanes of
-// a partial final batch). n must be in [0, Lanes].
-func LaneMask(n int) uint64 {
-	if n >= Lanes {
-		return AllLanes
-	}
-	return (uint64(1) << uint(n)) - 1
-}
-
-// BlockMask returns the Block mask selecting the first n of BlockLanes lanes.
-func BlockMask(n int) Block { return circuit.LaneMaskFor(n) }
 
 // sampler emits 64-bit Bernoulli(p) masks using geometric skip sampling: it
 // tracks the lane-stream distance to the next success and sets only those
@@ -167,11 +143,10 @@ type Simulator struct {
 }
 
 // classTables maps noise sites to rate classes. The tables are pure functions
-// of (layout, noise, rates), carry no RNG state, and are shared verbatim
-// between the single-word and the wide engine — only the sampler streams are
-// per-engine (and, in the wide engine, per 64-lane sub-word). depol spans
-// both the per-qubit P sites (H, measurement flips, resets) and the
-// per-coupler CNOT-depolarizing sites; the other kinds are per-qubit.
+// of (layout, noise, rates) and carry no RNG state; only the sampler streams
+// are per-batch. depol spans both the per-qubit P sites (H, measurement
+// flips, resets) and the per-coupler CNOT-depolarizing sites; the other kinds
+// are per-qubit.
 type classTables struct {
 	depolQ    []uint16 // [NumQubits] qubit -> depol class
 	depolC    []uint16 // [NumCouplers] coupler -> depol class (profiles only)
@@ -401,8 +376,7 @@ func (s *Simulator) RunRound(ops []circuit.Op) []uint64 {
 func (s *Simulator) RunRoundMasked(ops []circuit.MaskedOp) []uint64 {
 	s.beginRound()
 	for _, op := range ops {
-		// The single-word engine owns lanes 0..63: word 0 of the mask.
-		s.applyMasked(op.Op, op.Mask[0])
+		s.applyMasked(op.Op, op.Mask)
 	}
 	return s.finishRound()
 }

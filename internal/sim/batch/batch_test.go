@@ -19,13 +19,13 @@ func newBatch(d int, n noise.Params, seed uint64) (*Simulator, *circuit.Builder)
 	return s, circuit.NewBuilder(l)
 }
 
-// TestLaneMask checks the partial-batch mask helper.
+// TestLaneMask checks the partial-batch mask helper the batch workers use.
 func TestLaneMask(t *testing.T) {
-	if LaneMask(0) != 0 || LaneMask(64) != AllLanes || LaneMask(100) != AllLanes {
-		t.Fatal("LaneMask extremes wrong")
+	if circuit.LaneMaskFor(0) != 0 || circuit.LaneMaskFor(64) != AllLanes || circuit.LaneMaskFor(100) != AllLanes {
+		t.Fatal("LaneMaskFor extremes wrong")
 	}
-	if m := LaneMask(3); m != 0b111 {
-		t.Fatalf("LaneMask(3) = %b", m)
+	if m := circuit.LaneMaskFor(3); m != 0b111 {
+		t.Fatalf("LaneMaskFor(3) = %b", m)
 	}
 }
 
@@ -175,7 +175,7 @@ func TestLeakedCountsActiveMask(t *testing.T) {
 	if d != 8 || p != 2 {
 		t.Fatalf("full counts = (%d, %d), want (8, 2)", d, p)
 	}
-	d, p = s.LeakedCounts(LaneMask(4))
+	d, p = s.LeakedCounts(circuit.LaneMaskFor(4))
 	if d != 4 || p != 0 {
 		t.Fatalf("masked counts = (%d, %d), want (4, 0)", d, p)
 	}
@@ -253,7 +253,7 @@ func TestMaskedLRCTouchesOnlyMaskedLanes(t *testing.T) {
 			plans[i] = circuit.Plan{LRCs: []circuit.LRC{{Data: q, Stab: l.SwapPrimary[q]}}}
 		}
 	}
-	s.RunRoundMasked(b.MaskedRound(plans, circuit.LaneMask{AllLanes}))
+	s.RunRoundMasked(b.MaskedRound(plans, AllLanes))
 
 	// Lane 2 (leaked, LRC'd) is cleaned; lane 1 (leaked, no LRC) stays
 	// leaked; every other lane stays unleaked.
@@ -278,7 +278,7 @@ func TestMaskedFrameIsolation(t *testing.T) {
 	s.InjectX(q, 1<<3|1<<7)
 	plans := make([]circuit.Plan, Lanes)
 	plans[3] = circuit.Plan{LRCs: []circuit.LRC{{Data: q, Stab: l.SwapPrimary[q]}}}
-	s.RunRoundMasked(b.MaskedRound(plans, circuit.LaneMask{AllLanes}))
+	s.RunRoundMasked(b.MaskedRound(plans, AllLanes))
 
 	if s.x[q]&(1<<7) == 0 {
 		t.Fatal("lane 7's X frame was destroyed by lane 3's LRC")
@@ -328,7 +328,7 @@ func TestMLClassificationPlanes(t *testing.T) {
 		LRCs:       []circuit.LRC{{Data: q, Stab: l.SwapPrimary[q]}},
 		CondReturn: true,
 	}
-	s.RunRoundMasked(b.MaskedRound(plans, circuit.LaneMask{AllLanes}))
+	s.RunRoundMasked(b.MaskedRound(plans, AllLanes))
 	if got := s.MLDataLeak()[l.SwapPrimary[q]]; got != 1<<2 {
 		t.Fatalf("MLDataLeak = %b, want lane 2", got)
 	}
@@ -354,7 +354,7 @@ func TestCondReturnRequiresTrackML(t *testing.T) {
 			t.Fatal("OpCondReturn without TrackML did not panic")
 		}
 	}()
-	s.RunRoundMasked(b.MaskedRound(plans, circuit.LaneMask{AllLanes}))
+	s.RunRoundMasked(b.MaskedRound(plans, AllLanes))
 }
 
 // TestMaskedNoiselessRoundsAreQuiet: masked rounds with heterogeneous
@@ -375,7 +375,7 @@ func TestMaskedNoiselessRoundsAreQuiet(t *testing.T) {
 				plans[i] = circuit.Plan{LRCs: []circuit.LRC{{Data: q, Stab: l.SwapPrimary[q]}}}
 			}
 		}
-		events := s.RunRoundMasked(b.MaskedRound(plans, circuit.LaneMask{AllLanes}))
+		events := s.RunRoundMasked(b.MaskedRound(plans, AllLanes))
 		for i, e := range events {
 			if e != 0 {
 				t.Fatalf("round %d: masked event word %b on stabilizer %d without noise", r, e, i)
