@@ -9,6 +9,7 @@ package repro_test
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"repro/internal/analytic"
@@ -502,27 +503,69 @@ func BenchmarkBatchRoundD7(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchMaskedRoundD7 measures the adaptive engine's substrate: one
-// lane-masked round (plan merge + masked execution) with a realistic sparse
-// spread of per-lane LRCs — a few lanes scheduling one LRC each, as ERASER
-// produces at the paper's error rates. One untimed round grows the builder's
-// scratch first, so the CI allocation gate can demand 0 allocs/op from it
-// and BenchmarkBatchRoundD7 even at -benchtime 2x.
+// BenchmarkBatchMaskedRoundD7 measures the adaptive engine's substrate as
+// the runner drives it: one lane-masked round compiled from a word-form plan
+// (Builder.MaskedRoundLanes) and executed, with a realistic sparse spread of
+// LRCs — a few lanes scheduling one LRC each, as ERASER produces at the
+// paper's error rates. One untimed round grows the builder's scratch first,
+// so the CI allocation gate can demand 0 allocs/op from it and
+// BenchmarkBatchRoundD7 even at -benchtime 2x.
 func BenchmarkBatchMaskedRoundD7(b *testing.B) {
 	l := surfacecode.MustNew(7)
 	s := batch.New(l, noise.Standard(1e-3), surfacecode.KindZ)
 	s.Reset(stats.NewRNG(1, 1))
 	builder := circuit.NewBuilder(l)
-	plans := make([]circuit.Plan, batch.Lanes)
-	for i := 0; i < batch.Lanes; i += 9 {
-		q := (i * 7) % l.NumData
-		plans[i] = circuit.Plan{LRCs: []circuit.LRC{{Data: q, Stab: l.SwapPrimary[q]}}}
-	}
-	s.RunRoundMasked(builder.MaskedRound(plans, batch.AllLanes))
+	plan := sparseLanePlan(l)
+	s.RunRoundMasked(builder.MaskedRoundLanes(plan, batch.AllLanes))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.RunRoundMasked(builder.MaskedRound(plans, batch.AllLanes))
+		s.RunRoundMasked(builder.MaskedRoundLanes(plan, batch.AllLanes))
+	}
+}
+
+// sparseLanePlan returns the word-form plan in which every ninth lane
+// schedules one LRC with its data qubit's primary parity qubit.
+func sparseLanePlan(l *surfacecode.Layout) *circuit.LanePlan {
+	plan := &circuit.LanePlan{LRCs: make([][]circuit.LaneLRC, l.NumParity)}
+	for i := 0; i < batch.Lanes; i += 9 {
+		q, bit := (i*7)%l.NumData, circuit.LaneMask(1)<<uint(i)
+		list := plan.LRCs[l.SwapPrimary[q]]
+		j, found := slices.BinarySearchFunc(list, q, func(e circuit.LaneLRC, q int) int { return e.Data - q })
+		if found {
+			list[j].Mask |= bit
+			continue
+		}
+		plan.LRCs[l.SwapPrimary[q]] = slices.Insert(list, j, circuit.LaneLRC{Data: q, Mask: bit})
+	}
+	return plan
+}
+
+// BenchmarkLanePlannerD7 measures the word-parallel policy layer of one
+// adaptive round at d=7: ERASER+M (the policy reading the most words)
+// planning all 64 lanes with PlanWords, then observing a fixed event and
+// multi-level readout pattern. One untimed round warms the planner so the CI
+// allocation gate holds even at -benchtime 2x.
+func BenchmarkLanePlannerD7(b *testing.B) {
+	l := surfacecode.MustNew(7)
+	lp := core.NewLanePolicies(core.PolicyEraserM, l, circuit.ProtocolSwap, batch.Lanes)
+	rng := stats.NewRNG(7, 7)
+	events := make([]uint64, l.NumParity)
+	leak := make([]uint64, l.NumParity)
+	for s := range events {
+		// ~5% detection events and ~0.4% |L> readouts per lane.
+		events[s] = rng.Uint64() & rng.Uint64() & rng.Uint64() & rng.Uint64()
+		leak[s] = events[s] & rng.Uint64() & rng.Uint64() & rng.Uint64() & rng.Uint64()
+	}
+	info := core.LaneRoundInfo{Active: batch.AllLanes, Events: events, MLParityLeak: leak}
+	lp.Reset()
+	lp.PlanWords(batch.AllLanes)
+	lp.Observe(info)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lp.PlanWords(batch.AllLanes)
+		lp.Observe(info)
 	}
 }
 

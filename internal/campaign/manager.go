@@ -384,8 +384,10 @@ func (c *Campaign) monitor() {
 		}
 		time.Sleep(c.m.opts.Poll)
 	}
-	close(c.done)
+	// Retire before signalling Done, so a waiter already sees the
+	// retention cap applied.
 	c.m.retire(c.ID)
+	close(c.done)
 	errs := 0
 	for _, p := range c.points {
 		if p.state == "error" {

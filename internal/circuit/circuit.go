@@ -68,9 +68,9 @@ func LaneMaskFor(n int) LaneMask {
 
 // MaskedOp pairs an Op with the lane mask of batch-simulator shots it
 // applies to: a set bit means the corresponding shot lane executes the
-// operation. The batch engines run masked sequences produced by
-// Builder.MaskedRound, which lets adaptive policies with per-shot plans share
-// one word-parallel round.
+// operation. The batch engine runs masked sequences produced by
+// Builder.MaskedRoundLanes, which lets adaptive policies with per-shot plans
+// share one word-parallel round.
 type MaskedOp struct {
 	Op   Op
 	Mask LaneMask
@@ -121,23 +121,25 @@ type Builder struct {
 	// lrcOf maps stabilizer index -> planned data qubit (or -1).
 	lrcOf []int
 
-	// Masked-round state: per stabilizer, the data qubits LRC'd with it this
-	// round and the lanes requesting each pairing.
+	// Masked-round state: the emitted ops, MaskedRound's merge target, and
+	// the union of LRC lane masks per stabilizer.
 	mops     []MaskedOp
-	laneLRCs [][]laneLRC
-	laneMask []LaneMask // union of LRC lane masks per stabilizer
-}
-
-// laneLRC is one merged (data qubit, lane set) LRC entry of a stabilizer.
-type laneLRC struct {
-	data int
-	mask LaneMask
+	merged   LanePlan
+	laneMask []LaneMask
+	// skelLen ops at the head of mops are the shared extraction skeleton
+	// under skelMask (0 = not built yet).
+	skelLen  int
+	skelMask LaneMask
 }
 
 // NewBuilder returns a Builder for the layout.
 func NewBuilder(l *surfacecode.Layout) *Builder {
-	b := &Builder{layout: l, lrcOf: make([]int, l.NumParity)}
-	return b
+	return &Builder{
+		layout:   l,
+		lrcOf:    make([]int, l.NumParity),
+		merged:   LanePlan{LRCs: make([][]LaneLRC, l.NumParity)},
+		laneMask: make([]LaneMask, l.NumParity),
+	}
 }
 
 // TwoQubitOpsPerParity reports the number of two-qubit operations a parity
@@ -262,42 +264,50 @@ func (b *Builder) Round(plan Plan) []Op {
 	return b.ops
 }
 
+// LaneLRC is one entry of a LanePlan: data qubit Data is LRC'd with the
+// entry's stabilizer on the lanes in Mask.
+type LaneLRC struct {
+	Data int
+	Mask LaneMask
+}
+
+// LanePlan is the word form of up to WordLanes per-lane round plans: per
+// stabilizer, the data qubits LRC'd with it and the lanes doing so. It is
+// what the word-parallel planner (core.LanePolicies) emits directly and what
+// MaskedRound merges per-lane plans into.
+type LanePlan struct {
+	// LRCs[s] lists stabilizer s's pairings in ascending Data order, each
+	// with a non-zero mask inside the round's active lanes. A lane appears at
+	// most once per stabilizer and at most once per data qubit.
+	LRCs [][]LaneLRC
+	// Protocol and CondReturn are policy-level constants shared by every
+	// lane (see Plan).
+	Protocol   Protocol
+	CondReturn bool
+}
+
 // MaskedRound merges up to WordLanes per-lane round plans into one masked
-// operation sequence for the batch simulators. plans[i] is lane i's plan;
-// lanes whose bit is clear in active are skipped. Every lane shares the
-// identical syndrome-extraction skeleton (opening Hadamards, the four CNOT
-// steps, closing Hadamards, measure + reset), emitted once under the full
-// active mask; only the LRC operations — forward SWAPs, data-wire
-// measurements, return transfers, DQLR epilogues — differ by lane and carry
-// the mask of the lanes that planned them. Protocol and CondReturn must agree
-// across active lanes that schedule LRCs (they are policy-level constants,
-// not per-shot decisions); lanes with empty plans carry no vote, so mixing
-// zero-valued idle plans with scheduling lanes is fine. The returned slice
-// aliases an internal buffer valid until the next call.
-//
-// Per stabilizer, the merged (data qubit, lane set) entries are emitted in
-// ascending data-qubit order — a canonical order independent of which lanes
-// requested each pairing, so the op sequence (and hence the simulator's
-// random draws) depends only on the set of plans, not on lane order.
+// operation sequence for the batch simulator. plans[i] is lane i's plan;
+// lanes whose bit is clear in active are skipped. Protocol and CondReturn
+// must agree across active lanes that schedule LRCs (they are policy-level
+// constants, not per-shot decisions); lanes with empty plans carry no vote,
+// so mixing zero-valued idle plans with scheduling lanes is fine. The merge
+// lands in a builder-owned LanePlan, so the steady state allocates nothing;
+// MaskedRoundLanes emits the ops, and its aliasing rules apply to the
+// returned slice.
 func (b *Builder) MaskedRound(plans []Plan, active LaneMask) []MaskedOp {
-	l := b.layout
-	b.mops = b.mops[:0]
-	if b.laneLRCs == nil {
-		b.laneLRCs = make([][]laneLRC, l.NumParity)
-		b.laneMask = make([]LaneMask, l.NumParity)
-	}
-	for i := range b.laneLRCs {
-		b.laneLRCs[i] = b.laneLRCs[i][:0]
-		b.laneMask[i] = 0
+	lp := &b.merged
+	for s := range lp.LRCs {
+		lp.LRCs[s] = lp.LRCs[s][:0]
 	}
 
 	// Probe Protocol/CondReturn from the first active lane that actually
 	// schedules LRCs: both settings only affect LRC ops, and an idle lane's
 	// zero-valued plan must not override the scheduling lanes' choice.
-	proto, condReturn := ProtocolSwap, false
+	lp.Protocol, lp.CondReturn = ProtocolSwap, false
 	for i := range plans {
 		if active&(1<<uint(i)) != 0 && len(plans[i].LRCs) != 0 {
-			proto, condReturn = plans[i].Protocol, plans[i].CondReturn
+			lp.Protocol, lp.CondReturn = plans[i].Protocol, plans[i].CondReturn
 			break
 		}
 	}
@@ -307,60 +317,96 @@ func (b *Builder) MaskedRound(plans []Plan, active LaneMask) []MaskedOp {
 			continue
 		}
 		for _, lrc := range plans[i].LRCs {
-			list := b.laneLRCs[lrc.Stab]
+			list := lp.LRCs[lrc.Stab]
 			merged := false
 			for j := range list {
-				if list[j].data == lrc.Data {
-					list[j].mask |= bit
+				if list[j].Data == lrc.Data {
+					list[j].Mask |= bit
 					merged = true
 					break
 				}
 			}
 			if !merged {
-				list = append(list, laneLRC{lrc.Data, bit})
-				// Keep entries sorted by data qubit (see the contract above).
-				for j := len(list) - 1; j > 0 && list[j].data < list[j-1].data; j-- {
+				list = append(list, LaneLRC{lrc.Data, bit})
+				// Keep entries sorted by data qubit (LanePlan's contract).
+				for j := len(list) - 1; j > 0 && list[j].Data < list[j-1].Data; j-- {
 					list[j], list[j-1] = list[j-1], list[j]
 				}
-				b.laneLRCs[lrc.Stab] = list
+				lp.LRCs[lrc.Stab] = list
 			}
-			b.laneMask[lrc.Stab] |= bit
 		}
 	}
-	useSwap := proto == ProtocolSwap
+	return b.MaskedRoundLanes(lp, active)
+}
 
-	// Hadamards opening X-stabilizer extraction.
-	for i := range l.Stabilizers {
-		s := &l.Stabilizers[i]
-		if s.Kind == surfacecode.KindX {
-			b.emitMasked(Op{Kind: OpH, Q0: s.Ancilla, Q1: -1, Stab: -1}, active)
+// MaskedRoundLanes emits the masked operation sequence of one round from a
+// word-form lane plan. Every lane shares the identical syndrome-extraction
+// skeleton (opening Hadamards, the four CNOT steps, closing Hadamards,
+// measure + reset), emitted once under the full active mask; only the LRC
+// operations — forward SWAPs, data-wire measurements, return transfers,
+// DQLR epilogues — differ by lane and carry the mask of the lanes that
+// planned them. Per stabilizer the entries are emitted in the plan's
+// ascending data-qubit order, a canonical order independent of which lanes
+// requested each pairing, so the op sequence (and hence the simulator's
+// random draws) depends only on the set of per-lane plans. Entry masks must
+// lie inside active. The returned slice aliases an internal buffer valid
+// until the next call, and callers must not modify it: its head is reused
+// by later rounds.
+func (b *Builder) MaskedRoundLanes(plan *LanePlan, active LaneMask) []MaskedOp {
+	l := b.layout
+	useSwap := plan.Protocol == ProtocolSwap
+	// Union of LRC lanes per stabilizer: the lanes whose outcome travels on
+	// the swapped data wire instead of the ancilla.
+	for s := range b.laneMask {
+		var m LaneMask
+		if useSwap {
+			for _, e := range plan.LRCs[s] {
+				m |= e.Mask
+			}
 		}
+		b.laneMask[s] = m
 	}
 
-	// Four global CNOT steps, identical on every lane.
-	for step := 0; step < surfacecode.ExtractionSteps; step++ {
+	// The opening Hadamards and the four CNOT steps depend only on the
+	// layout and the active mask, so they stay in the buffer as a prefix
+	// that later rounds under the same mask reuse.
+	if b.skelLen == 0 || b.skelMask != active {
+		b.mops = b.mops[:0]
+		// Hadamards opening X-stabilizer extraction.
 		for i := range l.Stabilizers {
 			s := &l.Stabilizers[i]
-			d := s.Steps[step]
-			if d < 0 {
-				continue
-			}
-			if s.Kind == surfacecode.KindZ {
-				b.emitMasked(Op{Kind: OpCNOT, Q0: d, Q1: s.Ancilla, Stab: -1}, active)
-			} else {
-				b.emitMasked(Op{Kind: OpCNOT, Q0: s.Ancilla, Q1: d, Stab: -1}, active)
+			if s.Kind == surfacecode.KindX {
+				b.emitMasked(Op{Kind: OpH, Q0: s.Ancilla, Q1: -1, Stab: -1}, active)
 			}
 		}
+
+		// Four global CNOT steps, identical on every lane.
+		for step := 0; step < surfacecode.ExtractionSteps; step++ {
+			for i := range l.Stabilizers {
+				s := &l.Stabilizers[i]
+				d := s.Steps[step]
+				if d < 0 {
+					continue
+				}
+				if s.Kind == surfacecode.KindZ {
+					b.emitMasked(Op{Kind: OpCNOT, Q0: d, Q1: s.Ancilla, Stab: -1}, active)
+				} else {
+					b.emitMasked(Op{Kind: OpCNOT, Q0: s.Ancilla, Q1: d, Stab: -1}, active)
+				}
+			}
+		}
+		b.skelLen, b.skelMask = len(b.mops), active
 	}
+	b.mops = b.mops[:b.skelLen]
 
 	// Forward SWAPs, masked to the lanes that planned each pairing.
 	if useSwap {
-		for si := range b.laneLRCs {
+		for si, list := range plan.LRCs {
 			p := l.Stabilizers[si].Ancilla
-			for _, e := range b.laneLRCs[si] {
-				b.emitMasked(Op{Kind: OpCNOT, Q0: p, Q1: e.data, Stab: -1}, e.mask)
-				b.emitMasked(Op{Kind: OpCNOT, Q0: e.data, Q1: p, Stab: -1}, e.mask)
-				b.emitMasked(Op{Kind: OpCNOT, Q0: p, Q1: e.data, Stab: -1}, e.mask)
+			for _, e := range list {
+				b.emitMasked(Op{Kind: OpCNOT, Q0: p, Q1: e.Data, Stab: -1}, e.Mask)
+				b.emitMasked(Op{Kind: OpCNOT, Q0: e.Data, Q1: p, Stab: -1}, e.Mask)
+				b.emitMasked(Op{Kind: OpCNOT, Q0: p, Q1: e.Data, Stab: -1}, e.Mask)
 			}
 		}
 	}
@@ -371,16 +417,12 @@ func (b *Builder) MaskedRound(plans []Plan, active LaneMask) []MaskedOp {
 		if s.Kind != surfacecode.KindX {
 			continue
 		}
-		var swapped LaneMask
-		if useSwap {
-			swapped = b.laneMask[s.Index]
-		}
-		if rem := active &^ swapped; rem != 0 {
+		if rem := active &^ b.laneMask[s.Index]; rem != 0 {
 			b.emitMasked(Op{Kind: OpH, Q0: s.Ancilla, Q1: -1, Stab: -1}, rem)
 		}
 		if useSwap {
-			for _, e := range b.laneLRCs[s.Index] {
-				b.emitMasked(Op{Kind: OpH, Q0: e.data, Q1: -1, Stab: -1}, e.mask)
+			for _, e := range plan.LRCs[s.Index] {
+				b.emitMasked(Op{Kind: OpH, Q0: e.Data, Q1: -1, Stab: -1}, e.Mask)
 			}
 		}
 	}
@@ -390,18 +432,14 @@ func (b *Builder) MaskedRound(plans []Plan, active LaneMask) []MaskedOp {
 	// qubit untouched, exactly as in the scalar Round.
 	for i := range l.Stabilizers {
 		s := &l.Stabilizers[i]
-		var swapped LaneMask
-		if useSwap {
-			swapped = b.laneMask[s.Index]
-		}
-		if rem := active &^ swapped; rem != 0 {
+		if rem := active &^ b.laneMask[s.Index]; rem != 0 {
 			b.emitMasked(Op{Kind: OpMeasure, Q0: s.Ancilla, Q1: -1, Stab: s.Index}, rem)
 			b.emitMasked(Op{Kind: OpReset, Q0: s.Ancilla, Q1: -1, Stab: -1}, rem)
 		}
 		if useSwap {
-			for _, e := range b.laneLRCs[s.Index] {
-				b.emitMasked(Op{Kind: OpMeasure, Q0: e.data, Q1: -1, Stab: s.Index, DataWire: true}, e.mask)
-				b.emitMasked(Op{Kind: OpReset, Q0: e.data, Q1: -1, Stab: -1}, e.mask)
+			for _, e := range plan.LRCs[s.Index] {
+				b.emitMasked(Op{Kind: OpMeasure, Q0: e.Data, Q1: -1, Stab: s.Index, DataWire: true}, e.Mask)
+				b.emitMasked(Op{Kind: OpReset, Q0: e.Data, Q1: -1, Stab: -1}, e.Mask)
 			}
 		}
 	}
@@ -409,24 +447,24 @@ func (b *Builder) MaskedRound(plans []Plan, active LaneMask) []MaskedOp {
 	// Return transfers for SWAP LRCs.
 	if useSwap {
 		kind := OpSwapReturn
-		if condReturn {
+		if plan.CondReturn {
 			kind = OpCondReturn
 		}
-		for si := range b.laneLRCs {
+		for si, list := range plan.LRCs {
 			p := l.Stabilizers[si].Ancilla
-			for _, e := range b.laneLRCs[si] {
-				b.emitMasked(Op{Kind: kind, Q0: p, Q1: e.data, Stab: si}, e.mask)
+			for _, e := range list {
+				b.emitMasked(Op{Kind: kind, Q0: p, Q1: e.Data, Stab: si}, e.Mask)
 			}
 		}
 	}
 
 	// DQLR epilogue per planned pairing.
-	if proto == ProtocolDQLR {
-		for si := range b.laneLRCs {
+	if plan.Protocol == ProtocolDQLR {
+		for si, list := range plan.LRCs {
 			p := l.Stabilizers[si].Ancilla
-			for _, e := range b.laneLRCs[si] {
-				b.emitMasked(Op{Kind: OpLeakISWAP, Q0: e.data, Q1: p, Stab: si}, e.mask)
-				b.emitMasked(Op{Kind: OpReset, Q0: p, Q1: -1, Stab: -1}, e.mask)
+			for _, e := range list {
+				b.emitMasked(Op{Kind: OpLeakISWAP, Q0: e.Data, Q1: p, Stab: si}, e.Mask)
+				b.emitMasked(Op{Kind: OpReset, Q0: p, Q1: -1, Stab: -1}, e.Mask)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package circuit
 
 import (
 	"math/bits"
+	"slices"
 	"testing"
 
 	"repro/internal/surfacecode"
@@ -390,6 +391,36 @@ func TestMaskedRoundStaticPlanMatchesRound(t *testing.T) {
 	for i := range want {
 		if mops[i].Op != want[i] || mops[i].Mask != active {
 			t.Fatalf("op %d: %+v mask %#x, want %+v under full mask", i, mops[i].Op, mops[i].Mask, want[i])
+		}
+	}
+}
+
+// TestMaskedRoundLanesSkeletonReuse: one builder driven through a sequence of
+// rounds with changing active masks and plans emits, every round, exactly
+// what a fresh builder emits for that round, so the extraction skeleton
+// kept between rounds never goes stale.
+func TestMaskedRoundLanesSkeletonReuse(t *testing.T) {
+	l := surfacecode.MustNew(5)
+	reused := NewBuilder(l)
+	plan := func(q int, mask LaneMask) *LanePlan {
+		p := &LanePlan{LRCs: make([][]LaneLRC, l.NumParity)}
+		p.LRCs[l.SwapPrimary[q]] = []LaneLRC{{Data: q, Mask: mask}}
+		return p
+	}
+	for r, c := range []struct {
+		active LaneMask
+		plan   *LanePlan
+	}{
+		{^LaneMask(0), plan(3, 1<<4)},
+		{^LaneMask(0), plan(7, 1<<9|1<<40)},
+		{LaneMaskFor(20), plan(7, 1<<9)},
+		{LaneMaskFor(20), plan(11, 1<<2)},
+		{^LaneMask(0), plan(3, 1<<63)},
+	} {
+		got := reused.MaskedRoundLanes(c.plan, c.active)
+		want := NewBuilder(l).MaskedRoundLanes(c.plan, c.active)
+		if !slices.Equal(got, want) {
+			t.Fatalf("round %d: reused builder emits %d ops, fresh builder %d (or they differ)", r, len(got), len(want))
 		}
 	}
 }

@@ -79,9 +79,9 @@ type Config struct {
 // batchEligible reports whether the experiment can run on the word-parallel
 // batch simulator. Since the lane-masked op engine, every policy qualifies:
 // static NoLRC/Always schedules share one unmasked op sequence across all 64
-// lanes, and the adaptive ERASER/ERASER+M/Optimal policies run one instance
-// per lane whose plans are merged into one masked op sequence per round
-// (circuit.Builder.MaskedRound). Only ForceScalar (the benchmark and
+// lanes, and the adaptive ERASER/ERASER+M/Optimal policies plan every lane
+// at once (core.LanePolicies) into one masked op sequence per round
+// (circuit.Builder.MaskedRoundLanes). Only ForceScalar (the benchmark and
 // engine-agreement opt-out) and Tune (which mutates a single scalar policy
 // instance) keep an experiment on the scalar simulator.
 func batchEligible(cfg Config) bool {
@@ -637,11 +637,12 @@ func kindStabs(layout *surfacecode.Layout, basis surfacecode.Kind) []decoder.Sta
 // detection events fanned out to per-lane lists for decoding. Static
 // NoLRC/Always policies plan identically for every lane, so one policy
 // instance and one unmasked op sequence per round serve the whole batch.
-// Adaptive policies run one instance per lane (core.LanePolicies): per round
-// the per-lane plans are merged into one lane-masked op sequence — every lane
-// shares the syndrome-extraction skeleton, only the LRC ops differ by lane —
-// and the engine's event, readout and ground-truth words are fanned back out
-// to the instances. The plan source is the only per-round difference; unit
+// Adaptive policies run the word-parallel planner (core.LanePolicies): per
+// round it plans every lane at once into a circuit.LanePlan, the builder
+// compiles that into one lane-masked op sequence — every lane shares the
+// syndrome-extraction skeleton, only the LRC ops differ by lane — and the
+// engine's event, readout and ground-truth words feed straight back into
+// the planner. The plan source is the only per-round difference; unit
 // seeding, decision accounting, LPR, collection and the final round are
 // shared. Decoding goes through the sink: inline on single-worker runs,
 // pipelined to the decode pool otherwise.
@@ -660,15 +661,9 @@ func runBatchWorker(ctx context.Context, cfg Config, layout *surfacecode.Layout,
 	} else {
 		lp = core.NewLanePolicies(cfg.Policy, layout, cfg.Protocol, batch.Lanes)
 	}
-	var active uint64
-	// staticPlanned is a static plan's planned-lane word: every active lane
-	// or none.
-	staticPlanned := func(q int) uint64 {
-		if pol.PlannedLRC(q) {
-			return active
-		}
-		return 0
-	}
+	// staticPlanned holds a static plan's planned-lane words: every active
+	// lane or none.
+	staticPlanned := make([]uint64, layout.NumData)
 
 	for b := lo + w; b < hi; b += stride {
 		// Cancellation is checked only between units, as in runWorker.
@@ -680,7 +675,7 @@ func runBatchWorker(ctx context.Context, cfg Config, layout *surfacecode.Layout,
 		if rem := shotsCap - b*batch.Lanes; rem < lanes {
 			lanes = rem
 		}
-		active = circuit.LaneMaskFor(lanes)
+		active := circuit.LaneMaskFor(lanes)
 		acc.Covered.Add(b)
 		acc.Shots += lanes
 		bs.Reset(stats.NewRNG(batchSeeds[b], uint64(b)))
@@ -696,16 +691,22 @@ func runBatchWorker(ctx context.Context, cfg Config, layout *surfacecode.Layout,
 			if lp == nil {
 				plan := pol.PlanRound(r)
 				acc.LRCs += int64(len(plan.LRCs)) * int64(lanes)
+				for q := range staticPlanned {
+					staticPlanned[q] = 0
+					if pol.PlannedLRC(q) {
+						staticPlanned[q] = active
+					}
+				}
 				acc.addDecisions(bs, active, lanes, staticPlanned)
 				// The ops apply to all 64 lanes even on a partial unit:
 				// masking them to the active lanes would draw fewer randoms
 				// and change the unit's tally.
 				events = bs.RunRound(builder.Round(plan))
 			} else {
-				plans := lp.PlanRound(r, active)
+				plan := lp.PlanWords(active)
 				acc.LRCs += lp.LRCTotal()
-				acc.addDecisions(bs, active, lanes, lp.PlannedWord)
-				events = bs.RunRoundMasked(builder.MaskedRound(plans, active))
+				acc.addDecisions(bs, active, lanes, lp.PlannedWords())
+				events = bs.RunRoundMasked(builder.MaskedRoundLanes(plan, active))
 				lp.Observe(core.LaneRoundInfo{
 					Round:          r,
 					Active:         active,
@@ -729,11 +730,10 @@ func runBatchWorker(ctx context.Context, cfg Config, layout *surfacecode.Layout,
 }
 
 // addDecisions scores one round's LRC decisions against the leakage state at
-// the end of the previous round, as in the scalar path; planned(q) returns
-// the lanes scheduling an LRC on data qubit q.
-func (t *Tally) addDecisions(bs *batch.Simulator, active uint64, lanes int, planned func(q int) uint64) {
-	for q := 0; q < bs.Layout.NumData; q++ {
-		p := planned(q)
+// the end of the previous round, as in the scalar path; planned[q] holds the
+// lanes scheduling an LRC on data qubit q.
+func (t *Tally) addDecisions(bs *batch.Simulator, active uint64, lanes int, planned []uint64) {
+	for q, p := range planned {
 		leaked := bs.LeakedWord(q) & active
 		tp := int64(bits.OnesCount64(p & leaked))
 		fp := int64(bits.OnesCount64(p &^ leaked))

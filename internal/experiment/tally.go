@@ -180,6 +180,33 @@ func (t *Tally) Merge(o *Tally) error {
 	return nil
 }
 
+// Check verifies the internal consistency of a tally for a layout with
+// numData data qubits: one speculation decision per (shot, data qubit,
+// round), one LPR numerator per round, and a shot count consistent with the
+// covered units — every unit full except possibly one cut by a shot cap.
+// The scheduler checks each chunk's delta before it reaches the store.
+func (t *Tally) Check(numData int) error {
+	decisions := t.TruePos + t.FalsePos + t.TrueNeg + t.FalseNeg
+	if want := int64(t.Shots) * int64(numData) * int64(t.Rounds); decisions != want {
+		return fmt.Errorf("tally check: %d speculation decisions, want shots·data·rounds = %d", decisions, want)
+	}
+	if len(t.LPRDataNum) != t.Rounds || len(t.LPRParityNum) != t.Rounds {
+		return fmt.Errorf("tally check: LPR series lengths %d/%d, want %d rounds",
+			len(t.LPRDataNum), len(t.LPRParityNum), t.Rounds)
+	}
+	n := t.Covered.Count()
+	if n == 0 {
+		if t.Shots != 0 {
+			return fmt.Errorf("tally check: %d shots with no covered units", t.Shots)
+		}
+		return nil
+	}
+	if t.Shots <= (n-1)*t.UnitShots || t.Shots > n*t.UnitShots {
+		return fmt.Errorf("tally check: %d shots over %d units of %d", t.Shots, n, t.UnitShots)
+	}
+	return nil
+}
+
 // HalfWidth returns the half-width of the Wilson score interval on the
 // logical error rate at the given z (1.96 for 95%). It is the quantity the
 // adaptive-precision stopping rule drives to the target.

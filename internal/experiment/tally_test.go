@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"encoding/json"
 	"reflect"
 	"testing"
@@ -191,5 +192,48 @@ func TestConfigKeySeparatesConfigsAndIgnoresVolume(t *testing.T) {
 
 	if _, err := (Config{Distance: 3, Tune: func(core.Policy) {}}).Key(); err == nil {
 		t.Fatal("Tune-carrying config must have no content key")
+	}
+}
+
+// TestTallyCheck: real runs — batch static and adaptive, a shot-capped
+// partial unit, the scalar path, and an empty tally — satisfy the merge-time
+// invariant, and each kind of corruption trips it.
+func TestTallyCheck(t *testing.T) {
+	const numData = 9 // d = 3
+	for _, tc := range []struct {
+		name string
+		t    *Tally
+	}{
+		{"batch-static", RunUnits(tallyCfg(core.PolicyAlways, 2*64, false), 0, 2)},
+		{"batch-adaptive", RunUnits(tallyCfg(core.PolicyEraserM, 2*64, false), 1, 3)},
+		{"scalar", RunUnits(tallyCfg(core.PolicyEraser, 5, true), 0, 5)},
+		{"empty", NewTally(6, 64)},
+	} {
+		if err := tc.t.Check(numData); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+	}
+	capped, _ := runUnitRange(context.Background(), tallyCfg(core.PolicyEraser, 100, false), 0, 2, 100)
+	if err := capped.Check(numData); err != nil {
+		t.Errorf("shot-capped: %v", err)
+	}
+
+	good := RunUnits(tallyCfg(core.PolicyEraser, 2*64, false), 0, 2)
+	for _, c := range []struct {
+		name    string
+		corrupt func(*Tally)
+	}{
+		{"decision lost", func(t *Tally) { t.TrueNeg-- }},
+		{"decision extra", func(t *Tally) { t.FalsePos++ }},
+		{"short LPR", func(t *Tally) { t.LPRParityNum = t.LPRParityNum[1:] }},
+		{"shots over units", func(t *Tally) { t.Shots += 64; t.TrueNeg += 64 * numData * int64(t.Rounds) }},
+		{"shots under units", func(t *Tally) { t.Shots -= 64; t.TrueNeg -= 64 * numData * int64(t.Rounds) }},
+		{"shots without units", func(t *Tally) { t.Covered = UnitSet{} }},
+	} {
+		bad := good.Clone()
+		c.corrupt(bad)
+		if err := bad.Check(numData); err == nil {
+			t.Errorf("%s: corrupted tally passed Check", c.name)
+		}
 	}
 }

@@ -392,16 +392,22 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...str
 // a family, so diffs between scrapes are stable.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
-	// Snapshot the family list; instrument reads are atomic and need no lock.
+	// Snapshot the family and series lists: a concurrent first use of a
+	// labelled instrument appends a series under the lock. Instrument reads
+	// are atomic and need no lock.
 	fams := make([]*family, len(r.families))
 	copy(fams, r.families)
+	rows := make([][]*series, len(fams))
+	for i, f := range fams {
+		rows[i] = append([]*series(nil), f.series...)
+	}
 	r.mu.Unlock()
 
 	var b strings.Builder
-	for _, f := range fams {
+	for i, f := range fams {
 		b.Reset()
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", f.name, escapeHelp(f.help), f.name, f.typ)
-		for _, s := range f.series {
+		for _, s := range rows[i] {
 			switch {
 			case s.counter != nil:
 				fmt.Fprintf(&b, "%s%s %d\n", f.name, s.labels, s.counter.Value())

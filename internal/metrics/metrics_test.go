@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -217,6 +218,9 @@ func TestConcurrentInstruments(t *testing.T) {
 				g.Add(1)
 				g.Add(-1)
 				h.Observe(float64(i) * 1e-6)
+				// First use of a labelled series registers it while other
+				// goroutines scrape.
+				reg.Counter("conc_by_code_total", "h", "code", strconv.Itoa(w*1000+i%50)).Inc()
 				if i%100 == 0 {
 					var b strings.Builder
 					if err := reg.WritePrometheus(&b); err != nil {

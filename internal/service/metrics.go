@@ -44,6 +44,7 @@ type instruments struct {
 	chunkReissues   *metrics.Counter
 	storeRetryRead  *metrics.Counter
 	storeRetryWrite *metrics.Counter
+	tallyViolations *metrics.Counter
 }
 
 // newInstruments registers the scheduler's whole metric inventory on reg:
@@ -79,6 +80,8 @@ func newInstruments(reg *metrics.Registry, s *Scheduler) *instruments {
 			"store operations retried after a transient failure", "op", "read"),
 		storeRetryWrite: reg.Counter("leak_sched_store_retries_total",
 			"store operations retried after a transient failure", "op", "write"),
+		tallyViolations: reg.Counter("leak_tally_invariant_violations_total",
+			"chunk tallies rejected by the merge-time invariant check (the job fails, nothing is stored)"),
 	}
 
 	// Scheduler-owned totals and gauges, read at scrape time.

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -459,5 +461,58 @@ func TestCorruptionRepairMetrics(t *testing.T) {
 	}
 	if c := st.Counters(); c.CorruptionsRepaired != 1 {
 		t.Fatalf("store counters report %d repairs, want 1", c.CorruptionsRepaired)
+	}
+}
+
+// corruptDeltas is a chunk fault injector that damages every chunk tally
+// after it is simulated and before the scheduler checks it.
+type corruptDeltas struct{ n atomic.Int32 }
+
+func (*corruptDeltas) ChunkFaults(lo, hi int) {}
+
+func (c *corruptDeltas) CorruptDelta(t *experiment.Tally) {
+	c.n.Add(1)
+	t.TrueNeg--
+}
+
+// TestTallyInvariantViolationFailsJob: a chunk whose tally breaks the
+// merge-time invariant fails its job at once — no retry, no re-issue — bumps
+// leak_tally_invariant_violations_total, and never reaches the store.
+func TestTallyInvariantViolationFailsJob(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := New(st, 2)
+	inj := &corruptDeltas{}
+	sched.SetFaults(inj)
+	cfg := experiment.Config{Distance: 3, Cycles: 2, P: 2e-3, Shots: 2 * 64,
+		Seed: 41, Policy: core.PolicyEraser}
+	j, err := sched.Submit(cfg, Precision{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.Result(); err == nil || !errors.Is(err, errTallyInvariant) {
+		t.Fatalf("job error = %v, want a tally invariant violation", err)
+	}
+	if got := inj.n.Load(); got != 1 {
+		t.Fatalf("%d chunks corrupted, want exactly 1 (the job must not retry)", got)
+	}
+	snap := scrapeRegistry(t, sched.Registry())
+	if v := mustValue(t, snap, "leak_tally_invariant_violations_total"); v != 1 {
+		t.Fatalf("leak_tally_invariant_violations_total = %v, want 1", v)
+	}
+	if v := mustValue(t, snap, "leak_sched_chunk_reissues_total"); v != 0 {
+		t.Fatalf("invariant violation was re-issued %v times", v)
+	}
+	if v := mustValue(t, snap, "leak_store_merges_total"); v != 0 {
+		t.Fatalf("corrupt delta reached the store (%v merges)", v)
+	}
+	key, err := cfg.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stored, err := st.Lookup(key); err != nil || stored != nil {
+		t.Fatalf("store holds %+v (err %v) for the failed job's key", stored, err)
 	}
 }

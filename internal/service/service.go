@@ -156,6 +156,18 @@ type ChunkFaultInjector interface {
 
 type faultBox struct{ f ChunkFaultInjector }
 
+// deltaFaults is the optional interface a ChunkFaultInjector may implement
+// to tamper with each chunk's tally before the scheduler checks it; tests
+// use it to prove a corrupt delta never reaches the store.
+type deltaFaults interface {
+	CorruptDelta(*experiment.Tally)
+}
+
+// errTallyInvariant marks a chunk whose tally failed experiment.Tally.Check.
+// Units are deterministic, so a re-run would fail the same way: the job
+// fails without retry.
+var errTallyInvariant = errors.New("tally invariant violated")
+
 // Scheduler owns the worker pool, the in-flight job table, and the store.
 type Scheduler struct {
 	store *store.Store
@@ -750,6 +762,10 @@ func (s *Scheduler) execute(j *Job, fp string) {
 			if j.ctx.Err() != nil {
 				continue // loop top reports the cancellation cause
 			}
+			if errors.Is(err, errTallyInvariant) {
+				j.fail(fmt.Errorf("service: job %s: %w", j.ID, err))
+				return
+			}
 			attempts++
 			if attempts >= maxChunkAttempts {
 				j.fail(fmt.Errorf("service: job %s: giving up after %d attempts: %w", j.ID, attempts, err))
@@ -843,6 +859,16 @@ func (s *Scheduler) step(j *Job) (t *experiment.Tally, ran int, m experiment.Met
 		// hands its finished units to the store, and exactness is preserved
 		// because the covered bitsets stay disjoint.
 		ran = delta.Covered.Count()
+		if f, ok := s.loadFaults().(deltaFaults); ok {
+			f.CorruptDelta(delta)
+		}
+		// A distance-d rotated surface code has d² data qubits.
+		if err := delta.Check(cfg.Distance * cfg.Distance); err != nil {
+			s.ins.tallyViolations.Inc()
+			s.log.Error("tally invariant violated", "job", j.ID, "key", j.Key,
+				"unit_lo", lo, "unit_hi", hi, "err", err.Error())
+			return nil, ran, m, false, fmt.Errorf("%w: units [%d, %d): %v", errTallyInvariant, lo, hi, err)
+		}
 		if err := cur.Merge(delta); err != nil {
 			return nil, ran, m, false, err
 		}
