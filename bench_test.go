@@ -253,12 +253,12 @@ func BenchmarkFigure21(b *testing.B) {
 
 // ------------------------------------------------------------- Ablations
 
-// runAblation measures the LER of a tuned ERASER variant.
-func runAblation(b *testing.B, tune func(core.Policy)) float64 {
+// runAblation measures the LER of an ablated ERASER variant.
+func runAblation(b *testing.B, a core.Ablation) float64 {
 	b.Helper()
 	res := experiment.Run(experiment.Config{
 		Distance: 5, Cycles: 4, P: 1e-3, Shots: 150, Seed: 31,
-		Policy: core.PolicyEraser, Tune: tune,
+		Policy: core.PolicyEraser, Ablation: a,
 	})
 	return res.LER
 }
@@ -269,9 +269,9 @@ func runAblation(b *testing.B, tune func(core.Policy)) float64 {
 func BenchmarkAblationThreshold(b *testing.B) {
 	var def, t1, t3 float64
 	for i := 0; i < b.N; i++ {
-		def = runAblation(b, nil)
-		t1 = runAblation(b, func(p core.Policy) { p.(*core.Eraser).LSB().SetThreshold(1) })
-		t3 = runAblation(b, func(p core.Policy) { p.(*core.Eraser).LSB().SetThreshold(3) })
+		def = runAblation(b, core.Ablation{})
+		t1 = runAblation(b, core.Ablation{Threshold: 1})
+		t3 = runAblation(b, core.Ablation{Threshold: 3})
 	}
 	b.ReportMetric(def, "LER_half_rule")
 	b.ReportMetric(t1, "LER_threshold1")
@@ -282,8 +282,8 @@ func BenchmarkAblationThreshold(b *testing.B) {
 func BenchmarkAblationPUTT(b *testing.B) {
 	var with, without float64
 	for i := 0; i < b.N; i++ {
-		with = runAblation(b, nil)
-		without = runAblation(b, func(p core.Policy) { p.(*core.Eraser).DLI().SetUsePUTT(false) })
+		with = runAblation(b, core.Ablation{})
+		without = runAblation(b, core.Ablation{NoPUTT: true})
 	}
 	b.ReportMetric(with, "LER_with_PUTT")
 	b.ReportMetric(without, "LER_without_PUTT")
@@ -293,8 +293,8 @@ func BenchmarkAblationPUTT(b *testing.B) {
 func BenchmarkAblationBackups(b *testing.B) {
 	var with, without float64
 	for i := 0; i < b.N; i++ {
-		with = runAblation(b, nil)
-		without = runAblation(b, func(p core.Policy) { p.(*core.Eraser).DLI().SetUseBackup(false) })
+		with = runAblation(b, core.Ablation{})
+		without = runAblation(b, core.Ablation{NoBackup: true})
 	}
 	b.ReportMetric(with, "LER_with_backup")
 	b.ReportMetric(without, "LER_without_backup")

@@ -230,21 +230,6 @@ func (m *Manager) Submit(man Manifest) (*Campaign, error) {
 	}
 	m.ptsSubmitted.Add(int64(len(c.points)))
 
-	reg := m.sched.Registry()
-	reg.GaugeFunc("leak_campaign_eta_seconds",
-		"campaign finish estimate: max ETA over its running points",
-		func() float64 { return c.etaSeconds() }, "campaign", id)
-	reg.GaugeFunc("leak_campaign_max_half_width",
-		"widest Wilson 95% half-width among the campaign's unconverged points",
-		func() float64 { return c.maxHalfWidth() }, "campaign", id)
-	for _, p := range c.points {
-		p := p
-		reg.GaugeFunc("leak_campaign_half_width",
-			"per-point Wilson 95% half-width trajectory",
-			func() float64 { return c.pointHalfWidth(p) },
-			"campaign", id, "point", p.Label)
-	}
-
 	m.mu.Lock()
 	m.campaigns[id] = c
 	m.order = append(m.order, id)
@@ -500,7 +485,7 @@ func (c *Campaign) telemetry(p *point, st service.Status, now time.Time) Event {
 func (c *Campaign) progress(p *point, st service.Status) (converged bool, shotsToTarget int) {
 	if p.Prec.Adaptive() {
 		target := p.Prec.TargetCIHalfWidth
-		minShots, maxShots := adaptiveBounds(p.Prec, p.unitShots)
+		minShots, maxShots := p.Prec.Bounds(p.unitShots)
 		if st.Shots >= minShots && st.CIHalfWidth <= target {
 			return true, 0
 		}
@@ -532,23 +517,6 @@ func (c *Campaign) progress(p *point, st service.Status) (converged bool, shotsT
 		return true, 0
 	}
 	return false, budget - st.Shots
-}
-
-// adaptiveBounds mirrors the scheduler's Precision defaulting (two full
-// units minimum, DefaultMaxShots cap).
-func adaptiveBounds(prec service.Precision, unitShots int) (minShots, maxShots int) {
-	minShots = prec.MinShots
-	if minShots <= 0 {
-		minShots = 2 * unitShots
-	}
-	maxShots = prec.MaxShots
-	if maxShots <= 0 {
-		maxShots = service.DefaultMaxShots
-	}
-	if maxShots < minShots {
-		maxShots = minShots
-	}
-	return minShots, maxShots
 }
 
 // appendLocked adds one event to the bounded log and wakes every stream
@@ -592,43 +560,6 @@ func (c *Campaign) pointCounts() (running, done int) {
 		}
 	}
 	return running, done
-}
-
-// etaSeconds is the campaign finish estimate: max ETA over running points.
-func (c *Campaign) etaSeconds() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	eta := 0.0
-	for _, p := range c.points {
-		if p.state == "running" && p.last.ETASeconds > eta {
-			eta = p.last.ETASeconds
-		}
-	}
-	return eta
-}
-
-// maxHalfWidth is the widest half-width among unconverged points (0 once all
-// points are converged or finished).
-func (c *Campaign) maxHalfWidth() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	hw := 0.0
-	for _, p := range c.points {
-		if p.state == "running" && p.sampled && !p.last.Converged && p.last.HalfWidth > hw {
-			hw = p.last.HalfWidth
-		}
-	}
-	return hw
-}
-
-// pointHalfWidth reads one point's latest half-width (the per-point gauge).
-func (c *Campaign) pointHalfWidth(p *point) float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !p.sampled {
-		return 0.5
-	}
-	return p.last.HalfWidth
 }
 
 // Status assembles the campaign's status summary.

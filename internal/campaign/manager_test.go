@@ -2,7 +2,9 @@ package campaign
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -243,14 +245,6 @@ func TestCampaignMetricsAndHealth(t *testing.T) {
 	if v, ok := snap.Value("leak_campaigns_active"); !ok || v != 0 {
 		t.Fatalf("leak_campaigns_active = %v (ok=%v), want 0", v, ok)
 	}
-	// Per-campaign gauges exist and are settled: converged campaigns report 0.
-	if v, ok := snap.Value("leak_campaign_max_half_width", "campaign", "c1"); !ok || v != 0 {
-		t.Fatalf("leak_campaign_max_half_width{campaign=c1} = %v (ok=%v), want 0", v, ok)
-	}
-	if _, ok := snap.Value("leak_campaign_half_width",
-		"campaign", "c1", "point", pts[0].Label); !ok {
-		t.Fatal("per-point half-width gauge missing")
-	}
 
 	health := m.healthCounts()
 	if health["total"] != 2 || health["active"] != 0 {
@@ -291,5 +285,13 @@ func TestCampaignRetention(t *testing.T) {
 	}
 	if got := len(m.List()); got != 2 {
 		t.Fatalf("listing has %d rows, want 2", got)
+	}
+	// An evicted campaign leaves nothing behind on /metrics.
+	var buf bytes.Buffer
+	if err := sched.Registry().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if label := fmt.Sprintf("campaign=%q", ids[0]); strings.Contains(buf.String(), label) {
+		t.Fatalf("/metrics still has series labelled %s after eviction", label)
 	}
 }

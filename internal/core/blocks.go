@@ -18,6 +18,28 @@ import (
 	"repro/internal/surfacecode"
 )
 
+// Ablation switches off or retunes one of ERASER's design choices, for the
+// ablation studies of Insight #2 and Sections 4.2-4.3. The zero value is the
+// paper's design. It applies to ERASER and ERASER+M only.
+type Ablation struct {
+	// Threshold, when positive, replaces the LSB's ceil(n/2) speculation
+	// cutoff with min(Threshold, n) flipped checks of a qubit's n.
+	Threshold int
+	// NoPUTT disables the parity-qubit cooldown.
+	NoPUTT bool
+	// NoBackup disables the backup SWAP Lookup Table entries.
+	NoBackup bool
+}
+
+// cutoff is the number of flipped checks, of a data qubit's n, at which the
+// LSB speculates leakage.
+func (a Ablation) cutoff(n int) int {
+	if a.Threshold > 0 {
+		return min(a.Threshold, n)
+	}
+	return analytic.SpeculationThreshold(n)
+}
+
 // LSB is the Leakage Speculation Block together with its Leakage Tracking
 // Table. One entry per data qubit; an entry stays set until an LRC is
 // performed on the qubit.
@@ -26,7 +48,8 @@ type LSB struct {
 	// ltt is the Leakage Tracking Table: true marks a data qubit speculated
 	// (or, with multi-level readout, observed) as leaked.
 	ltt []bool
-	// threshold caches ceil(neighbors/2) per data qubit (Section 4.2.1).
+	// threshold caches the speculation cutoff per data qubit:
+	// ceil(neighbors/2) (Section 4.2.1) unless ablated.
 	threshold []int
 	// multiLevel enables the ERASER+M rule: a parity wire classified |L>
 	// marks every adjacent data qubit (Section 4.6.1).
@@ -41,30 +64,21 @@ func NewLSB(l *surfacecode.Layout, multiLevel bool) *LSB {
 		threshold:  make([]int, l.NumData),
 		multiLevel: multiLevel,
 	}
-	for q := 0; q < l.NumData; q++ {
-		b.threshold[q] = analytic.SpeculationThreshold(len(l.DataStabs[q]))
-	}
+	b.ablate(Ablation{})
 	return b
+}
+
+// ablate sets every data qubit's speculation cutoff from a.
+func (b *LSB) ablate(a Ablation) {
+	for q := range b.threshold {
+		b.threshold[q] = a.cutoff(len(b.layout.DataStabs[q]))
+	}
 }
 
 // Reset clears the LTT for a new shot.
 func (b *LSB) Reset() {
 	for i := range b.ltt {
 		b.ltt[i] = false
-	}
-}
-
-// SetThreshold overrides the speculation cutoff for every data qubit with
-// min(neighbors, t); the ablation benchmarks use it to explore the
-// conservative/aggressive trade-off of Insight #2.
-func (b *LSB) SetThreshold(t int) {
-	for q := range b.threshold {
-		n := len(b.layout.DataStabs[q])
-		if t < n {
-			b.threshold[q] = t
-		} else {
-			b.threshold[q] = n
-		}
 	}
 }
 
@@ -114,9 +128,10 @@ type DLI struct {
 	// putt marks parity qubits (by stabilizer index) that participated in an
 	// LRC in the previous round and are therefore held out this round.
 	putt []bool
-	// usePUTT can be disabled for the idealized policy and the ablation.
+	// usePUTT is off for the idealized policy, for DQLR and under
+	// Ablation.NoPUTT.
 	usePUTT bool
-	// useBackup can be disabled for the ablation of the backup entries.
+	// useBackup is off under Ablation.NoBackup.
 	useBackup bool
 
 	used []bool // scratch: parity qubits taken this round
@@ -139,12 +154,6 @@ func (d *DLI) Reset() {
 		d.putt[i] = false
 	}
 }
-
-// SetUsePUTT toggles the parity-qubit cooldown (ablation).
-func (d *DLI) SetUsePUTT(v bool) { d.usePUTT = v }
-
-// SetUseBackup toggles the backup SWAP Lookup Table entries (ablation).
-func (d *DLI) SetUseBackup(v bool) { d.useBackup = v }
 
 // Schedule assigns a parity qubit to every requested data qubit that can get
 // one this round, appending to dst and returning it. Requests that lose both

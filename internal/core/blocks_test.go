@@ -121,14 +121,37 @@ func TestLSBMultiLevel(t *testing.T) {
 	}
 }
 
-func TestLSBSetThreshold(t *testing.T) {
+// TestEraserAblate: each Ablation field retunes its block, and the zero
+// value restores the paper's design.
+func TestEraserAblate(t *testing.T) {
 	l := surfacecode.MustNew(3)
-	lsb := NewLSB(l, false)
-	lsb.SetThreshold(1)
-	q := 4
-	lsb.Observe(eventsFlipping(l, l.DataStabs[q][0]), nil, noLRCMarks(l))
-	if !lsb.Speculated()[q] {
-		t.Fatal("threshold 1 did not speculate on a single flip")
+	q := 4 // bulk qubit: four checks, cutoff 2
+	single := eventsFlipping(l, l.DataStabs[q][0])
+	for _, tc := range []struct {
+		a                  Ablation
+		spec, putt, backup bool
+	}{
+		{Ablation{}, false, true, true},
+		{Ablation{Threshold: 1}, true, true, true},
+		{Ablation{Threshold: 9}, false, true, true}, // clamps to the 4 checks
+		{Ablation{NoPUTT: true}, false, false, true},
+		{Ablation{NoBackup: true}, false, true, false},
+	} {
+		e := NewEraser(l, false, circuit.ProtocolSwap)
+		e.Ablate(Ablation{Threshold: 1, NoPUTT: true, NoBackup: true})
+		e.Ablate(tc.a)
+		if e.lsb.threshold[q] != tc.a.cutoff(4) {
+			t.Errorf("%+v: cutoff %d, want %d", tc.a, e.lsb.threshold[q], tc.a.cutoff(4))
+		}
+		e.Observe(RoundInfo{Round: 1, Events: single})
+		if e.lsb.ltt[q] != tc.spec || e.dli.usePUTT != tc.putt || e.dli.useBackup != tc.backup {
+			t.Errorf("%+v: speculated %v, PUTT %v, backup %v; want %v, %v, %v", tc.a,
+				e.lsb.ltt[q], e.dli.usePUTT, e.dli.useBackup, tc.spec, tc.putt, tc.backup)
+		}
+	}
+	// DQLR never uses the PUTT, ablated or not.
+	if e := NewEraser(l, false, circuit.ProtocolDQLR); e.dli.usePUTT {
+		t.Error("ERASER-DQLR uses the PUTT")
 	}
 }
 
@@ -169,7 +192,7 @@ func TestDLIConflictResolution(t *testing.T) {
 func TestDLIPUTTCooldown(t *testing.T) {
 	l := surfacecode.MustNew(3)
 	dli := NewDLI(l)
-	dli.SetUseBackup(false) // isolate the PUTT effect
+	dli.useBackup = false // isolate the PUTT effect
 	q := 4
 	req := make([]bool, l.NumData)
 	req[q] = true
@@ -232,7 +255,7 @@ func TestDLIDisabledBackup(t *testing.T) {
 	l.SwapPrimary[q1], l.SwapPrimary[q2] = stab.Index, stab.Index
 
 	dli := NewDLI(l)
-	dli.SetUseBackup(false)
+	dli.useBackup = false
 	req := make([]bool, l.NumData)
 	req[q1], req[q2] = true, true
 	if plan := dli.Schedule(req, nil); len(plan) != 1 {

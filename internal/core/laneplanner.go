@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"repro/internal/analytic"
 	"repro/internal/circuit"
 	"repro/internal/surfacecode"
 )
@@ -45,10 +44,11 @@ type LaneRoundInfo struct {
 // harness's decision accounting. PlanRound materialises per-lane plans from
 // the words for callers that want them (circuit.Builder.MaskedRound).
 type LanePolicies struct {
-	kind    Kind
-	name    string
-	layout  *surfacecode.Layout
-	usePUTT bool
+	kind     Kind
+	name     string
+	layout   *surfacecode.Layout
+	usePUTT  bool
+	noBackup bool
 
 	// Per data qubit: the LTT word (Optimal: the ground-truth word of the
 	// last observed round), the lanes planning an LRC this round, and the
@@ -93,12 +93,9 @@ func NewLanePolicies(k Kind, l *surfacecode.Layout, proto circuit.Protocol, lane
 		panic(fmt.Sprintf("core: %v is not an adaptive policy", k))
 	}
 	lp := &LanePolicies{
-		kind:   k,
-		name:   NewPolicy(k, l, proto).Name(),
-		layout: l,
-		// Optimal is an idealized controller and DQLR resets the parity
-		// qubit inside the protocol: neither needs the PUTT cooldown.
-		usePUTT:   k != PolicyOptimal && proto != circuit.ProtocolDQLR,
+		kind:      k,
+		name:      NewPolicy(k, l, proto).Name(),
+		layout:    l,
 		ltt:       make([]uint64, l.NumData),
 		planned:   make([]uint64, l.NumData),
 		backup:    make([]uint64, l.NumData),
@@ -112,8 +109,8 @@ func NewLanePolicies(k Kind, l *surfacecode.Layout, proto circuit.Protocol, lane
 			CondReturn: k == PolicyEraserM && proto == circuit.ProtocolSwap,
 		},
 	}
+	lp.Ablate(Ablation{})
 	for q := 0; q < l.NumData; q++ {
-		lp.threshold[q] = analytic.SpeculationThreshold(len(l.DataStabs[q]))
 		lp.cands[l.SwapPrimary[q]] = append(lp.cands[l.SwapPrimary[q]], candidate{data: q})
 		if b := l.SwapBackup[q]; b >= 0 {
 			lp.cands[b] = append(lp.cands[b], candidate{data: q, backup: true})
@@ -123,6 +120,18 @@ func NewLanePolicies(k Kind, l *surfacecode.Layout, proto circuit.Protocol, lane
 		lp.plan.LRCs[s] = make([]circuit.LaneLRC, 0, len(lp.cands[s]))
 	}
 	return lp
+}
+
+// Ablate retunes every lane's LSB cutoff, PUTT and backup entries to a, as
+// Eraser.Ablate does for one shot; it applies to ERASER and ERASER+M.
+func (lp *LanePolicies) Ablate(a Ablation) {
+	for q := range lp.threshold {
+		lp.threshold[q] = a.cutoff(len(lp.layout.DataStabs[q]))
+	}
+	// Optimal is an idealized controller and DQLR resets the parity qubit
+	// inside the protocol: neither needs the PUTT cooldown.
+	lp.usePUTT = !a.NoPUTT && lp.kind != PolicyOptimal && lp.plan.Protocol != circuit.ProtocolDQLR
+	lp.noBackup = a.NoBackup
 }
 
 // Name identifies the underlying policy in reports.
@@ -157,7 +166,7 @@ func (lp *LanePolicies) PlanWords(active circuit.LaneMask) *circuit.LanePlan {
 				take &^= lp.putt[p]
 			}
 			lp.used[p] |= take
-			if b := l.SwapBackup[q]; b >= 0 && req != take {
+			if b := l.SwapBackup[q]; b >= 0 && req != take && !lp.noBackup {
 				back = req &^ take &^ lp.used[b]
 				if lp.usePUTT {
 					back &^= lp.putt[b]

@@ -99,8 +99,9 @@ func TestLanePoliciesInactiveLanes(t *testing.T) {
 // seeded random event, multi-level readout and ground-truth words one lane
 // at a time, must agree with LanePolicies on every lane's plan, the planned
 // words, the LRC total and the compiled masked round, over hundreds of rounds
-// with periodic resets. Observation rates run up to 0.3 so that PUTT holds
-// and primary/backup conflicts actually fire.
+// with periodic resets, under the paper's design and under each Ablation
+// field. Observation rates run up to 0.3 so that PUTT holds and
+// primary/backup conflicts actually fire.
 func TestLanePlannerMatchesScalar(t *testing.T) {
 	masks := []struct {
 		name string
@@ -112,16 +113,32 @@ func TestLanePlannerMatchesScalar(t *testing.T) {
 		// their LTT and PUTT untouched, as unplanned scalar instances do.
 		{"varying", func(rng *rand.Rand) circuit.LaneMask { return rng.Uint64() }},
 	}
+	// The ERASER variants also run under each ablation; the suffix names it.
+	ablations := []struct {
+		suffix string
+		a      Ablation
+	}{
+		{"", Ablation{}},
+		{"-t1", Ablation{Threshold: 1}},
+		{"-t3-nobackup", Ablation{Threshold: 3, NoBackup: true}},
+		{"-noputt", Ablation{NoPUTT: true}},
+	}
 	for _, d := range []int{3, 5, 7} {
 		l := surfacecode.MustNew(d)
 		for _, k := range []Kind{PolicyEraser, PolicyEraserM, PolicyOptimal} {
-			for _, proto := range []circuit.Protocol{circuit.ProtocolSwap, circuit.ProtocolDQLR} {
-				for mi, m := range masks {
-					name := fmt.Sprintf("d%d/%v/%v/%s", d, k, proto, m.name)
-					seed := uint64(d)<<16 | uint64(k)<<8 | uint64(proto)<<4 | uint64(mi)
-					t.Run(name, func(t *testing.T) {
-						checkLanePlannerAgainstScalar(t, l, k, proto, rand.New(rand.NewPCG(seed, 1)), m.mask)
-					})
+			for ai, ab := range ablations {
+				if ab.a != (Ablation{}) && k == PolicyOptimal {
+					continue
+				}
+				for _, proto := range []circuit.Protocol{circuit.ProtocolSwap, circuit.ProtocolDQLR} {
+					for mi, m := range masks {
+						name := fmt.Sprintf("d%d/%v%s/%v/%s", d, k, ab.suffix, proto, m.name)
+						seed := uint64(d)<<16 | uint64(k)<<8 | uint64(proto)<<4 | uint64(mi)
+						t.Run(name, func(t *testing.T) {
+							rng := rand.New(rand.NewPCG(seed, 1+uint64(ai)))
+							checkLanePlannerAgainstScalar(t, l, k, proto, ab.a, rng, m.mask)
+						})
+					}
 				}
 			}
 		}
@@ -129,12 +146,18 @@ func TestLanePlannerMatchesScalar(t *testing.T) {
 }
 
 func checkLanePlannerAgainstScalar(t *testing.T, l *surfacecode.Layout, k Kind, proto circuit.Protocol,
-	rng *rand.Rand, nextMask func(*rand.Rand) circuit.LaneMask) {
+	a Ablation, rng *rand.Rand, nextMask func(*rand.Rand) circuit.LaneMask) {
 	const rounds = 240
 	lp := NewLanePolicies(k, l, proto, circuit.WordLanes)
 	pols := make([]Policy, circuit.WordLanes)
 	for i := range pols {
 		pols[i] = NewPolicy(k, l, proto)
+	}
+	if a != (Ablation{}) {
+		lp.Ablate(a)
+		for _, p := range pols {
+			p.(*Eraser).Ablate(a)
+		}
 	}
 	if lp.Name() != pols[0].Name() {
 		t.Fatalf("Name %q, want %q", lp.Name(), pols[0].Name())
@@ -231,8 +254,8 @@ func checkLanePlannerAgainstScalar(t *testing.T, l *surfacecode.Layout, k Kind, 
 			p.Observe(RoundInfo{Round: r, Events: laneEvents, MLParity: laneML, TrueLeakedData: laneTruth})
 		}
 	}
-	if backups == 0 || deferred == 0 {
-		t.Fatalf("weak coverage: %d backup LRCs, %d deferred requests", backups, deferred)
+	if (backups == 0) != a.NoBackup || deferred == 0 {
+		t.Fatalf("coverage: %d backup LRCs (backups off: %v), %d deferred requests", backups, a.NoBackup, deferred)
 	}
 }
 

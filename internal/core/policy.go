@@ -192,19 +192,19 @@ func NewEraser(l *surfacecode.Layout, multiLevel bool, proto circuit.Protocol) *
 		proto:      proto,
 		planned:    make([]bool, l.NumData),
 	}
-	if proto == circuit.ProtocolDQLR {
-		// DQLR resets the parity qubit inside the protocol, so the PUTT
-		// cooldown is unnecessary.
-		e.dli.SetUsePUTT(false)
-	}
+	e.Ablate(Ablation{})
 	return e
 }
 
-// LSB exposes the speculation block (ablation benchmarks tune it).
-func (e *Eraser) LSB() *LSB { return e.lsb }
-
-// DLI exposes the insertion block (ablation benchmarks tune it).
-func (e *Eraser) DLI() *DLI { return e.dli }
+// Ablate retunes the LSB cutoff, the PUTT and the backup entries to a; the
+// zero Ablation restores the paper's design.
+func (e *Eraser) Ablate(a Ablation) {
+	e.lsb.ablate(a)
+	// DQLR resets the parity qubit inside the protocol, so the PUTT
+	// cooldown is unnecessary.
+	e.dli.usePUTT = !a.NoPUTT && e.proto != circuit.ProtocolDQLR
+	e.dli.useBackup = !a.NoBackup
+}
 
 // Name reports ERASER / ERASER+M with a protocol suffix for DQLR.
 func (e *Eraser) Name() string {
@@ -282,7 +282,7 @@ func newOptimal(l *surfacecode.Layout, proto circuit.Protocol) *optimal {
 		truth:   make([]bool, l.NumData),
 		planned: make([]bool, l.NumData),
 	}
-	o.dli.SetUsePUTT(false)
+	o.dli.usePUTT = false
 	return o
 }
 

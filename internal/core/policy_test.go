@@ -115,13 +115,12 @@ func TestEraserRetriesBlockedRequest(t *testing.T) {
 	l.SwapPrimary[q1], l.SwapPrimary[q2] = stab.Index, stab.Index
 
 	e := NewEraser(l, false, circuit.ProtocolSwap)
-	e.DLI().SetUseBackup(false)
+	// No accidental speculation from the empty events below: only the two
+	// LTT entries marked directly request LRCs.
+	e.Ablate(Ablation{Threshold: 4, NoBackup: true})
 	e.Reset()
-	// Mark both qubits directly through the LSB threshold override: a
-	// single-flip threshold lets one event per qubit suffice.
-	e.LSB().SetThreshold(4) // no accidental speculation from the events below
-	e.LSB().Speculated()[q1] = true
-	e.LSB().Speculated()[q2] = true
+	e.lsb.ltt[q1] = true
+	e.lsb.ltt[q2] = true
 
 	plan2 := e.PlanRound(2)
 	if len(plan2.LRCs) != 1 || plan2.LRCs[0].Stab != stab.Index {

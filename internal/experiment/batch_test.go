@@ -26,8 +26,8 @@ func TestBatchEligibility(t *testing.T) {
 		{Config{Policy: core.PolicyOptimal}, true},
 		{Config{Policy: core.PolicyNone, ForceScalar: true}, false},
 		{Config{Policy: core.PolicyEraser, ForceScalar: true}, false},
-		{Config{Policy: core.PolicyNone, Tune: func(core.Policy) {}}, false},
-		{Config{Policy: core.PolicyEraser, Tune: func(core.Policy) {}}, false},
+		{Config{Policy: core.PolicyEraser, Ablation: core.Ablation{Threshold: 1}}, true},
+		{Config{Policy: core.PolicyEraserM, Ablation: core.Ablation{NoPUTT: true, NoBackup: true}}, true},
 	} {
 		if got := batchEligible(tc.cfg); got != tc.want {
 			t.Errorf("batchEligible(policy=%v, forceScalar=%v) = %v, want %v",
@@ -36,6 +36,29 @@ func TestBatchEligibility(t *testing.T) {
 	}
 	if !staticPlans(core.PolicyAlways) || staticPlans(core.PolicyEraser) {
 		t.Error("staticPlans misclassifies policies")
+	}
+}
+
+// TestAblationValidation: an ablation is valid on ERASER and ERASER+M only,
+// and its threshold cannot be negative.
+func TestAblationValidation(t *testing.T) {
+	for _, tc := range []struct {
+		pol core.Kind
+		a   core.Ablation
+		ok  bool
+	}{
+		{core.PolicyEraser, core.Ablation{Threshold: 3, NoBackup: true}, true},
+		{core.PolicyEraserM, core.Ablation{NoPUTT: true}, true},
+		{core.PolicyNone, core.Ablation{}, true},
+		{core.PolicyNone, core.Ablation{NoPUTT: true}, false},
+		{core.PolicyAlways, core.Ablation{Threshold: 1}, false},
+		{core.PolicyOptimal, core.Ablation{NoBackup: true}, false},
+		{core.PolicyEraser, core.Ablation{Threshold: -1}, false},
+	} {
+		cfg := Config{Distance: 3, Cycles: 2, P: 1e-3, Policy: tc.pol, Ablation: tc.a}
+		if err := cfg.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%v %+v: Validate() = %v, want ok=%v", tc.pol, tc.a, err, tc.ok)
+		}
 	}
 }
 

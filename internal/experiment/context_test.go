@@ -15,7 +15,7 @@ func TestRunUnitsCtxAlreadyCancelled(t *testing.T) {
 	cfg := Config{Distance: 3, Cycles: 2, P: 2e-3, Seed: 5, Policy: core.PolicyAlways}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	partial, err := RunUnitsCtx(ctx, cfg, 0, 8)
+	partial, _, err := RunUnitsMeteredCtx(ctx, cfg, 0, 8)
 	if err == nil {
 		t.Fatal("cancelled run returned no error")
 	}
@@ -46,7 +46,7 @@ func TestRunUnitsCtxPartialMergeExact(t *testing.T) {
 	// sensitive for correctness.
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
 	defer cancel()
-	partial, _ := RunUnitsCtx(ctx, cfg, 0, units)
+	partial, _, _ := RunUnitsMeteredCtx(ctx, cfg, 0, units)
 
 	merged := partial.Clone()
 	for u := 0; u < units; u++ {

@@ -66,14 +66,8 @@ func TestUniformProfileBitExact(t *testing.T) {
 		prof := plain
 		prof.Profile = uniformProfile(t, 3, 2e-3)
 
-		kp, err := plain.Key()
-		if err != nil {
-			t.Fatal(err)
-		}
-		kf, err := prof.Key()
-		if err != nil {
-			t.Fatal(err)
-		}
+		kp := plain.Key()
+		kf := prof.Key()
 		if kp != kf {
 			t.Fatalf("%s: uniform profile changed Config.Key: %s vs %s", tc.name, kp, kf)
 		}
@@ -90,18 +84,15 @@ func TestHeterogeneousProfileSeparates(t *testing.T) {
 	hot := plain
 	hot.Profile = hotspotProfile(t, 3, 2e-3, 2, 10)
 
-	kp, _ := plain.Key()
-	kh, err := hot.Key()
-	if err != nil {
-		t.Fatal(err)
-	}
+	kp := plain.Key()
+	kh := hot.Key()
 	if kp == kh {
 		t.Fatal("hotspot profile did not change Config.Key")
 	}
 	// Distinct factors key separately too.
 	hot2 := plain
 	hot2.Profile = hotspotProfile(t, 3, 2e-3, 2, 5)
-	k2, _ := hot2.Key()
+	k2 := hot2.Key()
 	if k2 == kh || k2 == kp {
 		t.Fatal("hotspot factors alias in Config.Key")
 	}

@@ -68,6 +68,7 @@ func goldenCases(t *testing.T) []goldenCase {
 	capStatic.Shots = 5*64 + 23
 	capAdaptive := base(3, core.PolicyEraser, circuit.ProtocolSwap)
 	capAdaptive.Shots = 5*64 + 23
+	ablated := func(c Config, a core.Ablation) Config { c.Ablation = a; return c }
 	cs = append(cs,
 		goldenCase{name: "hotspot-eraser", cfg: withProfile(base(3, core.PolicyEraser, circuit.ProtocolSwap), hotspot), lo: 0, hi: 8},
 		goldenCase{name: "hotspot-always", cfg: withProfile(base(3, core.PolicyAlways, circuit.ProtocolSwap), hotspot), lo: 1, hi: 7},
@@ -81,14 +82,18 @@ func goldenCases(t *testing.T) []goldenCase {
 		goldenCase{name: "scalar-eraser", cfg: scalar, lo: 3, hi: 40},
 		goldenCase{name: "cap-always", cfg: capStatic, lo: 0, hi: capStatic.NumUnits(), shotsCap: capStatic.Shots},
 		goldenCase{name: "cap-eraser", cfg: capAdaptive, lo: 0, hi: capAdaptive.NumUnits(), shotsCap: capAdaptive.Shots},
+		goldenCase{name: "ablate-threshold1", cfg: ablated(base(3, core.PolicyEraser, circuit.ProtocolSwap), core.Ablation{Threshold: 1}), lo: 1, hi: 10},
+		goldenCase{name: "ablate-noputt-eraserm", cfg: ablated(base(3, core.PolicyEraserM, circuit.ProtocolSwap), core.Ablation{NoPUTT: true}), lo: 2, hi: 9},
+		goldenCase{name: "ablate-nobackup", cfg: ablated(base(5, core.PolicyEraser, circuit.ProtocolSwap), core.Ablation{NoBackup: true}), lo: 0, hi: 5},
 	)
 	return cs
 }
 
 // TestGoldenTallies pins the exact Config.Key and Tally of a small corpus of
 // runs covering every policy, both protocols, uniform and heterogeneous
-// device profiles, both decoders, d=3/5, memory-X, the scalar path, and unit
-// ranges and shot caps that cut across unit boundaries. Stored tallies are
+// device profiles, both decoders, d=3/5, memory-X, the scalar path, each
+// Ablation field, and unit ranges and shot caps that cut across unit
+// boundaries. Stored tallies are
 // the behaviour the result store depends on, so any engine refactor must
 // reproduce them byte for byte. Each case runs at one and two workers,
 // covering the inline and the pipelined decode sink. Regenerate with
@@ -102,10 +107,7 @@ func TestGoldenTallies(t *testing.T) {
 			for _, workers := range []int{1, 2} {
 				cfg := gc.cfg
 				cfg.Workers = workers
-				key, err := cfg.Key()
-				if err != nil {
-					t.Fatal(err)
-				}
+				key := cfg.Key()
 				shotsCap := gc.shotsCap
 				if shotsCap == 0 {
 					shotsCap = gc.hi * cfg.UnitShots()

@@ -68,8 +68,9 @@ type Config struct {
 	// Workers bounds shot-level parallelism; 0 means GOMAXPROCS, 1 forces
 	// fully deterministic serial accumulation.
 	Workers int
-	// Tune optionally adjusts the policy after construction (ablations).
-	Tune func(core.Policy)
+	// Ablation retunes ERASER/ERASER+M away from the paper's design (the
+	// zero value); it is rejected on every other policy.
+	Ablation core.Ablation
 	// ForceScalar disables the word-parallel batch fast path even for
 	// eligible static policies; benchmarks and engine-agreement tests use it
 	// to pit the two simulators against each other.
@@ -82,10 +83,9 @@ type Config struct {
 // lanes, and the adaptive ERASER/ERASER+M/Optimal policies plan every lane
 // at once (core.LanePolicies) into one masked op sequence per round
 // (circuit.Builder.MaskedRoundLanes). Only ForceScalar (the benchmark and
-// engine-agreement opt-out) and Tune (which mutates a single scalar policy
-// instance) keep an experiment on the scalar simulator.
+// engine-agreement opt-out) keeps an experiment on the scalar simulator.
 func batchEligible(cfg Config) bool {
-	return !cfg.ForceScalar && cfg.Tune == nil
+	return !cfg.ForceScalar
 }
 
 // staticPlans reports whether the policy's round plans depend only on the
@@ -230,22 +230,17 @@ func RunUnits(cfg Config, lo, hi int) *Tally {
 	return t
 }
 
-// RunUnitsCtx is RunUnits with cooperative cancellation at unit boundaries:
-// when ctx is cancelled (deadline, Job.Cancel, server drain), workers stop
-// before starting their next unit and the partial tally — covering exactly
-// the units that finished — is returned alongside ctx's error. Partial
-// tallies keep the merge-exactness contract (their covered-unit bitset is a
-// subset of [lo, hi)), so the service can checkpoint them into the store and
-// a later run re-issues only the remainder. Units are never abandoned
-// mid-flight: a unit either completes and is covered, or never starts.
-func RunUnitsCtx(ctx context.Context, cfg Config, lo, hi int) (*Tally, error) {
-	t, _, err := RunUnitsMeteredCtx(ctx, cfg, lo, hi)
-	return t, err
-}
-
-// RunUnitsMeteredCtx is RunUnitsCtx plus stage timing: the returned Metrics
-// report how many worker-nanoseconds the range spent simulating versus
-// decoding. The tally is bit-identical to the unmetered entry points.
+// RunUnitsMeteredCtx is RunUnits with cooperative cancellation at unit
+// boundaries and stage timing. When ctx is cancelled (deadline, Job.Cancel,
+// server drain), workers stop before starting their next unit and the
+// partial tally — covering exactly the units that finished — is returned
+// alongside ctx's error. Partial tallies keep the merge-exactness contract
+// (their covered-unit bitset is a subset of [lo, hi)), so the service can
+// checkpoint them into the store and a later run re-issues only the
+// remainder. Units are never abandoned mid-flight: a unit either completes
+// and is covered, or never starts. The returned Metrics report how many
+// worker-nanoseconds the range spent simulating versus decoding; the tally
+// is bit-identical to RunUnits.
 func RunUnitsMeteredCtx(ctx context.Context, cfg Config, lo, hi int) (*Tally, Metrics, error) {
 	t, m := runUnitRange(ctx, cfg, lo, hi, hi*cfg.UnitShots())
 	return t, m, ctx.Err()
@@ -534,8 +529,8 @@ func runWorker(ctx context.Context, cfg Config, layout *surfacecode.Layout, dec 
 
 	builder := circuit.NewBuilder(layout)
 	pol := core.NewPolicy(cfg.Policy, layout, cfg.Protocol)
-	if cfg.Tune != nil {
-		cfg.Tune(pol)
+	if e, ok := pol.(*core.Eraser); ok {
+		e.Ablate(cfg.Ablation)
 	}
 	truth := make([]bool, layout.NumData)
 	prevTruth := make([]bool, layout.NumData)
@@ -660,6 +655,9 @@ func runBatchWorker(ctx context.Context, cfg Config, layout *surfacecode.Layout,
 		pol = core.NewPolicy(cfg.Policy, layout, cfg.Protocol)
 	} else {
 		lp = core.NewLanePolicies(cfg.Policy, layout, cfg.Protocol, batch.Lanes)
+		if cfg.Policy != core.PolicyOptimal {
+			lp.Ablate(cfg.Ablation)
+		}
 	}
 	// staticPlanned holds a static plan's planned-lane words: every active
 	// lane or none.
@@ -780,6 +778,13 @@ func configStream(cfg Config) uint64 {
 		for i := 0; i < len(sum); i += 8 {
 			mix(binary.LittleEndian.Uint64(sum[i:]))
 		}
+	}
+	// Likewise an ablation mixes in only when set, so the paper's design
+	// keeps its stream.
+	if a := cfg.Ablation; a != (core.Ablation{}) {
+		mix(uint64(a.Threshold))
+		mix(boolBit(a.NoPUTT))
+		mix(boolBit(a.NoBackup))
 	}
 	return h
 }

@@ -288,6 +288,12 @@ func (c Config) Validate() error {
 	if c.Basis != surfacecode.KindZ && c.Basis != surfacecode.KindX {
 		return fmt.Errorf("unknown basis %d", c.Basis)
 	}
+	if c.Ablation.Threshold < 0 {
+		return fmt.Errorf("negative ablation threshold %d", c.Ablation.Threshold)
+	}
+	if c.Ablation != (core.Ablation{}) && c.Policy != core.PolicyEraser && c.Policy != core.PolicyEraserM {
+		return fmt.Errorf("ablation applies to ERASER and ERASER+M, not %v", c.Policy)
+	}
 	if c.Profile != nil {
 		if c.Profile.Distance != c.Distance {
 			return fmt.Errorf("profile is calibrated for d=%d, config is d=%d",
@@ -306,11 +312,8 @@ func (c Config) Validate() error {
 // their tallies are mergeable; fields that only choose *how much* or *how
 // fast* to run (Shots, Workers) are deliberately excluded, which is what
 // lets a higher-precision re-run extend a stored tally instead of redoing
-// it. Configs with a Tune hook have no canonical identity and are rejected.
-func (c Config) Key() (string, error) {
-	if c.Tune != nil {
-		return "", fmt.Errorf("experiment: config with Tune hook has no content key")
-	}
+// it.
+func (c Config) Key() string {
 	h := sha256.New()
 	buf := make([]byte, 8)
 	put := func(v uint64) {
@@ -364,7 +367,14 @@ func (c Config) Key() (string, error) {
 	} else {
 		put(0)
 	}
-	return hex.EncodeToString(h.Sum(nil)), nil
+	// An ablation contributes only when set, so every key of the paper's
+	// design is unchanged.
+	if a := c.Ablation; a != (core.Ablation{}) {
+		put(uint64(a.Threshold))
+		put(boolBit(a.NoPUTT))
+		put(boolBit(a.NoBackup))
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // Describe returns a short human-readable summary of the config for store
@@ -379,6 +389,9 @@ func (c Config) Describe() string {
 			name = "custom"
 		}
 		desc += fmt.Sprintf(" profile=%s/%s", name, c.Profile.HashHex())
+	}
+	if a := c.Ablation; a != (core.Ablation{}) {
+		desc += fmt.Sprintf(" threshold=%d noputt=%v nobackup=%v", a.Threshold, a.NoPUTT, a.NoBackup)
 	}
 	return desc
 }

@@ -156,42 +156,40 @@ func TestUnitSetProperties(t *testing.T) {
 
 func TestConfigKeySeparatesConfigsAndIgnoresVolume(t *testing.T) {
 	base := tallyCfg(core.PolicyEraser, 256, false)
-	key := func(c Config) string {
-		k, err := c.Key()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return k
-	}
-	k0 := key(base)
+	k0 := base.Key()
 
 	// Shots and Workers choose how much/how fast, not what: same key.
 	more := base
 	more.Shots = 4096
 	more.Workers = 7
-	if key(more) != k0 {
+	if more.Key() != k0 {
 		t.Fatal("Shots/Workers changed the content key; tallies could never extend")
 	}
 
 	// Anything that changes unit content must change the key.
 	for name, mutate := range map[string]func(*Config){
-		"distance": func(c *Config) { c.Distance = 5 },
-		"cycles":   func(c *Config) { c.Cycles = 3 },
-		"policy":   func(c *Config) { c.Policy = core.PolicyAlways },
-		"seed":     func(c *Config) { c.Seed++ },
-		"p":        func(c *Config) { c.P = 3e-3 },
-		"scalar":   func(c *Config) { c.ForceScalar = true },
-		"uf":       func(c *Config) { c.UseUnionFind = true },
+		"distance":  func(c *Config) { c.Distance = 5 },
+		"cycles":    func(c *Config) { c.Cycles = 3 },
+		"policy":    func(c *Config) { c.Policy = core.PolicyAlways },
+		"seed":      func(c *Config) { c.Seed++ },
+		"p":         func(c *Config) { c.P = 3e-3 },
+		"scalar":    func(c *Config) { c.ForceScalar = true },
+		"uf":        func(c *Config) { c.UseUnionFind = true },
+		"threshold": func(c *Config) { c.Ablation.Threshold = 1 },
+		"noputt":    func(c *Config) { c.Ablation.NoPUTT = true },
+		"nobackup":  func(c *Config) { c.Ablation.NoBackup = true },
 	} {
 		c := base
 		mutate(&c)
-		if key(c) == k0 {
+		if c.Key() == k0 {
 			t.Fatalf("%s change did not change the content key", name)
 		}
 	}
-
-	if _, err := (Config{Distance: 3, Tune: func(core.Policy) {}}).Key(); err == nil {
-		t.Fatal("Tune-carrying config must have no content key")
+	// An ablation also draws its own RNG stream.
+	abl := base
+	abl.Ablation.NoPUTT = true
+	if configStream(abl) == configStream(base) {
+		t.Fatal("ablation shares the paper design's RNG stream")
 	}
 }
 

@@ -24,8 +24,9 @@ import (
 // for large distances fit comfortably under 1 MiB.
 const MaxRequestBytes = 1 << 20
 
-// ConfigSpec is the wire form of experiment.Config: names instead of enum
-// ordinals, and no function-valued fields, so it round-trips through JSON.
+// ConfigSpec is the wire form of experiment.Config, with names instead of
+// enum ordinals so it round-trips through JSON. It has no Ablation field:
+// ablations reach the scheduler through Scheduler.Submit only.
 type ConfigSpec struct {
 	Distance     int     `json:"distance"`
 	Cycles       int     `json:"cycles,omitempty"`

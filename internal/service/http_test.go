@@ -341,7 +341,7 @@ func TestConfigSpecRoundTrip(t *testing.T) {
 	if cfg.Distance != 5 || cfg.Noise == nil || cfg.Noise.Transport != noise.TransportExchange {
 		t.Fatalf("spec resolved wrong: %+v", cfg)
 	}
-	if _, err := cfg.Key(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
 }

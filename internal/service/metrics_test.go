@@ -405,10 +405,7 @@ func TestCorruptionRepairMetrics(t *testing.T) {
 	dir := t.TempDir()
 	cfg := experiment.Config{Distance: 3, Cycles: 2, P: 2e-3, Shots: 2 * 64,
 		Seed: 77, Policy: core.PolicyEraser}
-	key, err := cfg.Key()
-	if err != nil {
-		t.Fatal(err)
-	}
+	key := cfg.Key()
 
 	warmer := newTestScheduler(t, dir)
 	j, err := warmer.Submit(cfg, Precision{})
@@ -508,10 +505,7 @@ func TestTallyInvariantViolationFailsJob(t *testing.T) {
 	if v := mustValue(t, snap, "leak_store_merges_total"); v != 0 {
 		t.Fatalf("corrupt delta reached the store (%v merges)", v)
 	}
-	key, err := cfg.Key()
-	if err != nil {
-		t.Fatal(err)
-	}
+	key := cfg.Key()
 	if stored, err := st.Lookup(key); err != nil || stored != nil {
 		t.Fatalf("store holds %+v (err %v) for the failed job's key", stored, err)
 	}

@@ -69,7 +69,10 @@ func (p Precision) Adaptive() bool { return p.TargetCIHalfWidth > 0 }
 // target half-width to ever satisfy it.
 const DefaultMaxShots = 1 << 20
 
-func (p Precision) bounds(unitShots int) (minShots, maxShots int) {
+// Bounds resolves the adaptive stopping rule's shot floor and cap for a
+// config whose units carry unitShots shots: MinShots defaults to two full
+// units, MaxShots to DefaultMaxShots, and the cap never undercuts the floor.
+func (p Precision) Bounds(unitShots int) (minShots, maxShots int) {
 	minShots = p.MinShots
 	if minShots <= 0 {
 		minShots = 2 * unitShots
@@ -506,10 +509,7 @@ func (s *Scheduler) Submit(cfg experiment.Config, prec Precision) (*Job, error) 
 		// misleading empty success (LER 0 from zero simulation).
 		return nil, fmt.Errorf("service: fixed-count request needs Shots > 0 (or set a precision target)")
 	}
-	key, err := cfg.Key()
-	if err != nil {
-		return nil, err
-	}
+	key := cfg.Key()
 	fp := fmt.Sprintf("%s|%d|%g|%d|%d|%d", key, cfg.Shots,
 		prec.TargetCIHalfWidth, prec.MinShots, prec.MaxShots, prec.TimeoutMS)
 	// Peek the store outside s.mu (it may hit the disk): a request the store
@@ -973,7 +973,7 @@ func needUnits(cfg experiment.Config, prec Precision, t *experiment.Tally) int {
 		}
 		return 0
 	}
-	minShots, maxShots := prec.bounds(us)
+	minShots, maxShots := prec.Bounds(us)
 	if t.Shots >= maxShots {
 		return 0
 	}

@@ -187,8 +187,8 @@ func TestSubmitRejectsInvalidConfigs(t *testing.T) {
 		t.Fatal("invalid noise accepted")
 	}
 	if _, err := sched.Submit(experiment.Config{Distance: 3, P: 1e-3, Shots: 64,
-		Policy: core.PolicyNone, Tune: func(core.Policy) {}}, Precision{}); err == nil {
-		t.Fatal("Tune-carrying config accepted")
+		Policy: core.PolicyNone, Ablation: core.Ablation{NoPUTT: true}}, Precision{}); err == nil {
+		t.Fatal("ablation of a non-ERASER policy accepted")
 	}
 	if _, err := sched.Submit(experiment.Config{Distance: 3, P: 1e-3,
 		Policy: core.PolicyNone}, Precision{}); err == nil {

@@ -17,15 +17,6 @@ func storeCfg() experiment.Config {
 		Seed: 5, Policy: core.PolicyAlways, Workers: 1}
 }
 
-func mustKey(t *testing.T, cfg experiment.Config) string {
-	t.Helper()
-	key, err := cfg.Key()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return key
-}
-
 func TestStoreMergeExtendsAndPersists(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -33,7 +24,7 @@ func TestStoreMergeExtendsAndPersists(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := storeCfg()
-	key := mustKey(t, cfg)
+	key := cfg.Key()
 
 	if s.Get(key) != nil {
 		t.Fatal("empty store returned a tally")
@@ -76,7 +67,7 @@ func TestStoreRejectsOverlappingMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := storeCfg()
-	key := mustKey(t, cfg)
+	key := cfg.Key()
 	if _, err := s.Merge(key, "", experiment.RunUnits(cfg, 0, 2)); err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +79,7 @@ func TestStoreRejectsOverlappingMerge(t *testing.T) {
 func TestStoreGetReturnsCopy(t *testing.T) {
 	s, _ := Open("")
 	cfg := storeCfg()
-	key := mustKey(t, cfg)
+	key := cfg.Key()
 	if _, err := s.Merge(key, "", experiment.RunUnits(cfg, 0, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +97,7 @@ func TestStoreGetReturnsCopy(t *testing.T) {
 // a subsequent run repairs the entry in place.
 func TestStoreChaosCorruptionReadsAsMissAndRepairs(t *testing.T) {
 	cfg := storeCfg()
-	key := mustKey(t, cfg)
+	key := cfg.Key()
 	full := experiment.RunUnits(cfg, 0, 2)
 
 	corrupt := map[string]func([]byte) []byte{
@@ -172,7 +163,7 @@ func TestStoreChaosCorruptionReadsAsMissAndRepairs(t *testing.T) {
 func TestStoreChaosInjectedFaults(t *testing.T) {
 	dir := t.TempDir()
 	cfg := storeCfg()
-	key := mustKey(t, cfg)
+	key := cfg.Key()
 	full := experiment.RunUnits(cfg, 0, 2)
 
 	s, err := Open(dir)
@@ -235,7 +226,7 @@ func TestStoreCorruptEntryIsAMiss(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir)
 	cfg := storeCfg()
-	key := mustKey(t, cfg)
+	key := cfg.Key()
 	if err := os.WriteFile(filepath.Join(dir, key+".json"), []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
