@@ -3,8 +3,6 @@ package campaign
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
-	"log"
 	"net/http"
 	"strconv"
 	"time"
@@ -57,17 +55,17 @@ func (m *Manager) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	case http.MethodGet:
 		id := r.URL.Query().Get("id")
 		if id == "" {
-			writeJSON(w, http.StatusOK, m.List())
+			service.WriteJSON(w, http.StatusOK, m.List())
 			return
 		}
 		c, ok := m.Campaign(id)
 		if !ok {
-			writeError(w, http.StatusNotFound, "unknown campaign %q", id)
+			service.WriteError(w, http.StatusNotFound, "unknown campaign %q", id)
 			return
 		}
-		writeJSON(w, http.StatusOK, c.Status())
+		service.WriteJSON(w, http.StatusOK, c.Status())
 	default:
-		writeError(w, http.StatusMethodNotAllowed, "POST or GET only")
+		service.WriteError(w, http.StatusMethodNotAllowed, "POST or GET only")
 	}
 }
 
@@ -77,11 +75,11 @@ func (m *Manager) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if err := json.NewDecoder(r.Body).Decode(&man); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
+			service.WriteError(w, http.StatusRequestEntityTooLarge,
 				"manifest over %d bytes", tooBig.Limit)
 			return
 		}
-		writeError(w, http.StatusBadRequest, "bad manifest body: %v", err)
+		service.WriteError(w, http.StatusBadRequest, "bad manifest body: %v", err)
 		return
 	}
 	c, err := m.Submit(man)
@@ -90,12 +88,12 @@ func (m *Manager) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case errors.As(err, &ov):
 			w.Header().Set("Retry-After", strconv.Itoa(int(ov.RetryAfter/time.Second)))
-			writeError(w, http.StatusTooManyRequests, "%v", err)
+			service.WriteError(w, http.StatusTooManyRequests, "%v", err)
 		case errors.Is(err, service.ErrDraining):
 			w.Header().Set("Retry-After", "5")
-			writeError(w, http.StatusServiceUnavailable, "%v", err)
+			service.WriteError(w, http.StatusServiceUnavailable, "%v", err)
 		default:
-			writeError(w, http.StatusBadRequest, "%v", err)
+			service.WriteError(w, http.StatusBadRequest, "%v", err)
 		}
 		return
 	}
@@ -104,7 +102,7 @@ func (m *Manager) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		resp.Points = append(resp.Points, SubmittedPoint{
 			Point: pt.Label, Job: c.Jobs()[i].ID, Key: pt.Key})
 	}
-	writeJSON(w, http.StatusAccepted, resp)
+	service.WriteJSON(w, http.StatusAccepted, resp)
 }
 
 // handleStream serves the ND-JSON campaign event stream: every retained
@@ -115,14 +113,14 @@ func (m *Manager) handleStream(w http.ResponseWriter, r *http.Request) {
 	id := r.URL.Query().Get("id")
 	c, ok := m.Campaign(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown campaign %q", id)
+		service.WriteError(w, http.StatusNotFound, "unknown campaign %q", id)
 		return
 	}
 	cursor := 0
 	if from := r.URL.Query().Get("from"); from != "" {
 		n, err := strconv.Atoi(from)
 		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, "bad from=%q", from)
+			service.WriteError(w, http.StatusBadRequest, "bad from=%q", from)
 			return
 		}
 		cursor = n
@@ -155,24 +153,5 @@ func (m *Manager) handleStream(w http.ResponseWriter, r *http.Request) {
 		if ctx.Err() != nil {
 			return
 		}
-	}
-}
-
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-// writeJSON mirrors the service's response discipline: encode before writing
-// any status so a marshalling failure becomes a 500, not a truncated 200.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		code = http.StatusInternalServerError
-		data = []byte(`{"error": "encode response"}`)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	if _, err := w.Write(append(data, '\n')); err != nil {
-		log.Printf("campaign: write %d response: %v", code, err)
 	}
 }

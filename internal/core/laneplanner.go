@@ -45,7 +45,6 @@ type LaneRoundInfo struct {
 // the words for callers that want them (circuit.Builder.MaskedRound).
 type LanePolicies struct {
 	kind     Kind
-	name     string
 	layout   *surfacecode.Layout
 	usePUTT  bool
 	noBackup bool
@@ -94,7 +93,6 @@ func NewLanePolicies(k Kind, l *surfacecode.Layout, proto circuit.Protocol, lane
 	}
 	lp := &LanePolicies{
 		kind:      k,
-		name:      NewPolicy(k, l, proto).Name(),
 		layout:    l,
 		ltt:       make([]uint64, l.NumData),
 		planned:   make([]uint64, l.NumData),
@@ -135,7 +133,7 @@ func (lp *LanePolicies) Ablate(a Ablation) {
 }
 
 // Name identifies the underlying policy in reports.
-func (lp *LanePolicies) Name() string { return lp.name }
+func (lp *LanePolicies) Name() string { return PolicyName(lp.kind, lp.plan.Protocol) }
 
 // Reset clears every lane's LTT, PUTT and plan for a new batch of shots.
 func (lp *LanePolicies) Reset() {

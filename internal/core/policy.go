@@ -59,22 +59,29 @@ const (
 	PolicyOptimal
 )
 
-// String names the policy kind.
-func (k Kind) String() string {
-	switch k {
-	case PolicyNone:
-		return "NoLRC"
-	case PolicyAlways:
-		return "Always-LRCs"
-	case PolicyEraser:
-		return "ERASER"
-	case PolicyEraserM:
-		return "ERASER+M"
-	case PolicyOptimal:
-		return "Optimal"
-	default:
+// policyNames is the one name table behind Kind.String, PolicyName and every
+// Policy's Name: per kind, its name under SWAP LRCs and under DQLR.
+var policyNames = [...][2]string{
+	PolicyNone:    {"NoLRC", "NoLRC"},
+	PolicyAlways:  {"Always-LRCs", "DQLR"},
+	PolicyEraser:  {"ERASER", "ERASER-DQLR"},
+	PolicyEraserM: {"ERASER+M", "ERASER+M-DQLR"},
+	PolicyOptimal: {"Optimal", "Optimal-DQLR"},
+}
+
+// String names the policy kind (its name under SWAP LRCs).
+func (k Kind) String() string { return PolicyName(k, circuit.ProtocolSwap) }
+
+// PolicyName is the report name of the policy NewPolicy(k, l, proto) builds,
+// without building it: the value that policy's Name returns.
+func PolicyName(k Kind, proto circuit.Protocol) string {
+	if int(k) >= len(policyNames) {
 		return fmt.Sprintf("Kind(%d)", uint8(k))
 	}
+	if proto == circuit.ProtocolDQLR {
+		return policyNames[k][1]
+	}
+	return policyNames[k][0]
 }
 
 // NewPolicy constructs the policy of the given kind using the given
@@ -101,7 +108,7 @@ func NewPolicy(k Kind, l *surfacecode.Layout, proto circuit.Protocol) Policy {
 
 type noLRC struct{}
 
-func (*noLRC) Name() string               { return "NoLRC" }
+func (*noLRC) Name() string               { return PolicyNone.String() }
 func (*noLRC) Reset()                     {}
 func (*noLRC) PlanRound(int) circuit.Plan { return circuit.Plan{} }
 func (*noLRC) Observe(RoundInfo)          {}
@@ -125,12 +132,7 @@ func newAlways(l *surfacecode.Layout, proto circuit.Protocol) *always {
 	return &always{layout: l, proto: proto, planned: make([]bool, l.NumData)}
 }
 
-func (a *always) Name() string {
-	if a.proto == circuit.ProtocolDQLR {
-		return "DQLR"
-	}
-	return "Always-LRCs"
-}
+func (a *always) Name() string { return PolicyName(PolicyAlways, a.proto) }
 
 func (a *always) Reset() {}
 
@@ -208,14 +210,10 @@ func (e *Eraser) Ablate(a Ablation) {
 
 // Name reports ERASER / ERASER+M with a protocol suffix for DQLR.
 func (e *Eraser) Name() string {
-	n := "ERASER"
 	if e.multiLevel {
-		n = "ERASER+M"
+		return PolicyName(PolicyEraserM, e.proto)
 	}
-	if e.proto == circuit.ProtocolDQLR {
-		n += "-DQLR"
-	}
-	return n
+	return PolicyName(PolicyEraser, e.proto)
 }
 
 // Reset clears the LTT and PUTT.
@@ -286,12 +284,7 @@ func newOptimal(l *surfacecode.Layout, proto circuit.Protocol) *optimal {
 	return o
 }
 
-func (o *optimal) Name() string {
-	if o.proto == circuit.ProtocolDQLR {
-		return "Optimal-DQLR"
-	}
-	return "Optimal"
-}
+func (o *optimal) Name() string { return PolicyName(PolicyOptimal, o.proto) }
 
 func (o *optimal) Reset() {
 	o.dli.Reset()

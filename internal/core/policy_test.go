@@ -214,6 +214,30 @@ func TestPolicyNamesAndKinds(t *testing.T) {
 	}
 }
 
+// TestPolicyNameTable: PolicyName is the single name table, so for every
+// kind under both protocols it must equal the Name of the policy NewPolicy
+// builds (and of the word-parallel planner for the adaptive kinds).
+func TestPolicyNameTable(t *testing.T) {
+	l := surfacecode.MustNew(3)
+	for k := PolicyNone; k <= PolicyOptimal; k++ {
+		for _, proto := range []circuit.Protocol{circuit.ProtocolSwap, circuit.ProtocolDQLR} {
+			want := NewPolicy(k, l, proto).Name()
+			if got := PolicyName(k, proto); got != want {
+				t.Errorf("PolicyName(%v, %v) = %q, NewPolicy(...).Name() = %q", k, proto, got, want)
+			}
+			if k < PolicyEraser {
+				continue
+			}
+			if got := NewLanePolicies(k, l, proto, circuit.WordLanes).Name(); got != want {
+				t.Errorf("NewLanePolicies(%v, %v).Name() = %q, want %q", k, proto, got, want)
+			}
+		}
+	}
+	if got := PolicyName(PolicyOptimal+1, circuit.ProtocolSwap); got != "Kind(5)" {
+		t.Errorf("unknown kind named %q, want Kind(5)", got)
+	}
+}
+
 func TestNoLRCPolicyIsInert(t *testing.T) {
 	l := surfacecode.MustNew(3)
 	p := NewPolicy(PolicyNone, l, circuit.ProtocolSwap)

@@ -220,15 +220,15 @@ func (t *Tally) HalfWidth(z float64) float64 {
 
 // ResultFor derives the experiment Result from the tally: logical error rate
 // with Wilson bounds, normalized LPR series, LRCs per round, and the
-// speculation counters. cfg supplies the layout geometry and policy name; the
+// speculation counters. cfg supplies the code size and policy name; the
 // statistics come from the tally alone (Result.Shots is the tally's shot
 // count, which on full-width unit runs may round cfg.Shots up to a whole
-// number of units).
+// number of units). It builds no layout or policy, so a warm read allocates
+// only the three LPR series.
 func (t *Tally) ResultFor(cfg Config) Result {
-	layout := surfacecode.MustNew(cfg.Distance)
 	res := Result{
 		Config:        cfg,
-		PolicyName:    core.NewPolicy(cfg.Policy, layout, cfg.Protocol).Name(),
+		PolicyName:    core.PolicyName(cfg.Policy, cfg.Protocol),
 		Rounds:        t.Rounds,
 		Shots:         t.Shots,
 		LogicalErrors: t.LogicalErrors,
@@ -243,12 +243,15 @@ func (t *Tally) ResultFor(cfg Config) Result {
 	if t.Shots == 0 {
 		return res
 	}
+	// The rotated surface code of distance d (surfacecode.New) has d² data
+	// and d²−1 parity qubits.
+	d2 := cfg.Distance * cfg.Distance
+	numData, numParity, numQubits := float64(d2), float64(d2-1), float64(2*d2-1)
 	shots := float64(t.Shots)
 	for r := 0; r < t.Rounds; r++ {
-		res.LPRData[r] = float64(t.LPRDataNum[r]) / (shots * float64(layout.NumData))
-		res.LPRParity[r] = float64(t.LPRParityNum[r]) / (shots * float64(layout.NumParity))
-		res.LPRTotal[r] = (res.LPRData[r]*float64(layout.NumData) +
-			res.LPRParity[r]*float64(layout.NumParity)) / float64(layout.NumQubits)
+		res.LPRData[r] = float64(t.LPRDataNum[r]) / (shots * numData)
+		res.LPRParity[r] = float64(t.LPRParityNum[r]) / (shots * numParity)
+		res.LPRTotal[r] = (res.LPRData[r]*numData + res.LPRParity[r]*numParity) / numQubits
 	}
 	res.LER = float64(t.LogicalErrors) / shots
 	res.LERLow, res.LERHigh = stats.Wilson(t.LogicalErrors, t.Shots, 1.96)

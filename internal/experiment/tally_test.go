@@ -7,8 +7,10 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/stats"
+	"repro/internal/surfacecode"
 )
 
 func jsonRoundTrip(in, out any) error {
@@ -235,3 +237,36 @@ func TestTallyCheck(t *testing.T) {
 		}
 	}
 }
+
+// TestResultForBuildsNothing: ResultFor derives the qubit counts in closed
+// form instead of building a layout, so a warm read allocates only the three
+// LPR series, and the closed form gives bit-identical LPRs to the layout's
+// own counts.
+func TestResultForBuildsNothing(t *testing.T) {
+	for _, d := range []int{3, 5, 7} {
+		cfg := Config{Distance: d, Cycles: 2, P: 2e-3, Seed: 3, Policy: core.PolicyEraser,
+			Protocol: circuit.ProtocolDQLR}
+		tally := RunUnits(cfg, 0, 2)
+		res := tally.ResultFor(cfg)
+		l := surfacecode.MustNew(d)
+		shots := float64(tally.Shots)
+		for r := 0; r < tally.Rounds; r++ {
+			data := float64(tally.LPRDataNum[r]) / (shots * float64(l.NumData))
+			parity := float64(tally.LPRParityNum[r]) / (shots * float64(l.NumParity))
+			total := (data*float64(l.NumData) + parity*float64(l.NumParity)) / float64(l.NumQubits)
+			if res.LPRData[r] != data || res.LPRParity[r] != parity || res.LPRTotal[r] != total {
+				t.Fatalf("d=%d round %d: LPR (%v, %v, %v), layout counts give (%v, %v, %v)",
+					d, r, res.LPRData[r], res.LPRParity[r], res.LPRTotal[r], data, parity, total)
+			}
+		}
+		if res.PolicyName != "ERASER-DQLR" {
+			t.Fatalf("policy name %q, want ERASER-DQLR", res.PolicyName)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { sinkResult = tally.ResultFor(cfg) }); allocs > 3 {
+			t.Fatalf("d=%d: ResultFor allocates %v times per call, want <= 3 (the LPR series)", d, allocs)
+		}
+	}
+}
+
+// sinkResult keeps the measured ResultFor calls live.
+var sinkResult Result

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -198,9 +197,9 @@ func NewHandler(s *Scheduler, extra ...Route) http.Handler {
 				return
 			}
 			job.Cancel()
-			writeJSONStatus(w, http.StatusOK, RunResponse{Job: job.ID, Key: job.Key, Status: job.Status()})
+			WriteJSON(w, http.StatusOK, RunResponse{Job: job.ID, Key: job.Key, Status: job.Status()})
 		default:
-			httpError(w, http.StatusMethodNotAllowed, "POST or DELETE only")
+			WriteError(w, http.StatusMethodNotAllowed, "POST or DELETE only")
 		}
 	})
 	mux.HandleFunc("/v1/result", func(w http.ResponseWriter, r *http.Request) {
@@ -215,22 +214,24 @@ func NewHandler(s *Scheduler, extra ...Route) http.Handler {
 		case "done":
 			res, err := job.Result()
 			if err != nil {
-				httpError(w, http.StatusInternalServerError, "job %s: %v", job.ID, err)
+				WriteError(w, http.StatusInternalServerError, "job %s: %v", job.ID, err)
 				return
 			}
-			var buf bytes.Buffer
-			if err := res.WriteJSON(&buf); err != nil {
+			// Encoded once, compact: the envelope's Marshal copies these
+			// bytes through (a RawMessage is only validated, not re-encoded).
+			body, err := json.Marshal(res.JSONView())
+			if err != nil {
 				// A result that cannot be encoded is a server failure, not a
 				// silently-empty 200.
-				httpError(w, http.StatusInternalServerError, "job %s: encode result: %v", job.ID, err)
+				WriteError(w, http.StatusInternalServerError, "job %s: encode result: %v", job.ID, err)
 				return
 			}
-			resp.Result = buf.Bytes()
+			resp.Result = body
 			code = http.StatusOK
 		case "error":
 			code = http.StatusInternalServerError
 		}
-		writeJSONStatus(w, code, resp)
+		WriteJSON(w, code, resp)
 	})
 	mux.HandleFunc("/v1/stream", func(w http.ResponseWriter, r *http.Request) {
 		job, ok := lookupJob(s, w, r)
@@ -275,7 +276,7 @@ func NewHandler(s *Scheduler, extra ...Route) http.Handler {
 		if !ok {
 			return
 		}
-		writeJSONStatus(w, http.StatusOK, job.Trace())
+		WriteJSON(w, http.StatusOK, job.Trace())
 	})
 	mux.HandleFunc("/v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		simNS, decodeNS := s.StageNanos()
@@ -302,7 +303,7 @@ func NewHandler(s *Scheduler, extra ...Route) http.Handler {
 				payload[name] = v
 			}
 		}
-		writeJSONStatus(w, http.StatusOK, payload)
+		WriteJSON(w, http.StatusOK, payload)
 	})
 	mux.Handle("/metrics", s.Registry().Handler())
 	return mux
@@ -375,16 +376,16 @@ func handleSubmit(s *Scheduler, w http.ResponseWriter, r *http.Request) {
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			httpError(w, http.StatusRequestEntityTooLarge,
+			WriteError(w, http.StatusRequestEntityTooLarge,
 				"request body over %d bytes", tooBig.Limit)
 			return
 		}
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+		WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
 	cfg, err := req.Config.Config()
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad config: %v", err)
+		WriteError(w, http.StatusBadRequest, "bad config: %v", err)
 		return
 	}
 	job, err := s.Submit(cfg, req.Precision)
@@ -393,16 +394,16 @@ func handleSubmit(s *Scheduler, w http.ResponseWriter, r *http.Request) {
 		switch {
 		case errors.As(err, &ov):
 			w.Header().Set("Retry-After", strconv.Itoa(int(ov.RetryAfter/time.Second)))
-			httpError(w, http.StatusTooManyRequests, "%v", err)
+			WriteError(w, http.StatusTooManyRequests, "%v", err)
 		case errors.Is(err, ErrDraining):
 			w.Header().Set("Retry-After", "5")
-			httpError(w, http.StatusServiceUnavailable, "%v", err)
+			WriteError(w, http.StatusServiceUnavailable, "%v", err)
 		default:
-			httpError(w, http.StatusBadRequest, "%v", err)
+			WriteError(w, http.StatusBadRequest, "%v", err)
 		}
 		return
 	}
-	writeJSONStatus(w, http.StatusAccepted, RunResponse{Job: job.ID, Key: job.Key, Status: job.Status()})
+	WriteJSON(w, http.StatusAccepted, RunResponse{Job: job.ID, Key: job.Key, Status: job.Status()})
 }
 
 // lookupJob resolves ?job=ID, answering 404 for IDs this scheduler never
@@ -416,25 +417,27 @@ func lookupJob(s *Scheduler, w http.ResponseWriter, r *http.Request) (*Job, bool
 	case JobFound:
 		return job, true
 	case JobEvicted:
-		httpError(w, http.StatusGone, "job %q evicted from the retention window; re-submit the config (identical requests are answered from the store)", id)
+		WriteError(w, http.StatusGone, "job %q evicted from the retention window; re-submit the config (identical requests are answered from the store)", id)
 	default:
-		httpError(w, http.StatusNotFound, "unknown job %q", id)
+		WriteError(w, http.StatusNotFound, "unknown job %q", id)
 	}
 	return nil, false
 }
 
-func httpError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSONStatus(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
+// WriteError answers code with a JSON {"error": ...} body.
+func WriteError(w http.ResponseWriter, code int, format string, args ...any) {
+	WriteJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// writeJSONStatus encodes v before writing any status, so an encoding
-// failure becomes a 500 instead of a silently truncated 200, and write
-// failures (client gone mid-response) are at least logged.
-func writeJSONStatus(w http.ResponseWriter, code int, v any) {
-	data, err := json.MarshalIndent(v, "", "  ")
+// WriteJSON answers code with v as compact JSON. It encodes v before writing
+// any status, so an encoding failure becomes a 500 instead of a silently
+// truncated 200, and write failures (client gone mid-response) are at least
+// logged. Every JSON route, the campaign routes included, answers through it.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
+	data, err := json.Marshal(v)
 	if err != nil {
 		code = http.StatusInternalServerError
-		data = []byte(`{"error": "encode response"}`)
+		data = []byte(`{"error":"encode response"}`)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)

@@ -92,7 +92,7 @@ func newInstruments(reg *metrics.Registry, s *Scheduler) *instruments {
 		"admitted cold jobs not yet finished",
 		func() float64 { return float64(s.Pending()) })
 	reg.GaugeFunc("leak_sched_inflight_jobs",
-		"deduplicated jobs currently executing or queued",
+		"deduplicated cold jobs currently executing or queued (warm hits finish inside Submit)",
 		func() float64 { return float64(s.Inflight()) })
 	reg.GaugeFunc("leak_sched_workers",
 		"worker-pool width (concurrent unit chunks)",

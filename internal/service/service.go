@@ -193,7 +193,7 @@ type Scheduler struct {
 	nextID   int
 	pending  int // admitted cold jobs not yet finished
 	draining bool
-	wg       sync.WaitGroup // one count per execute goroutine
+	wg       sync.WaitGroup // one count per execute goroutine (cold jobs only)
 
 	// keyLocks stripes per-key work serialization over a fixed array —
 	// bounded memory under unbounded distinct keys, at the cost of
@@ -315,7 +315,7 @@ func (s *Scheduler) TraceDrops() int64 { return s.traceDrops.Load() }
 func (s *Scheduler) Start() time.Time { return s.start }
 
 // Inflight returns the number of deduplicated jobs currently executing or
-// queued (warm and cold).
+// queued. Warm hits complete inside Submit and never count.
 func (s *Scheduler) Inflight() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -375,6 +375,7 @@ type Job struct {
 
 	// ctx governs the job's work; cancel sets the cancellation cause
 	// (ErrCanceled, ErrDraining) and stopTimer releases the deadline timer.
+	// A warm hit completes inside Submit and has none of the three.
 	ctx       context.Context
 	cancel    context.CancelCauseFunc
 	stopTimer context.CancelFunc
@@ -420,8 +421,12 @@ func (j *Job) Done() <-chan struct{} { return j.done }
 // stay merged in the store (checkpoint), so a later identical request covers
 // only the remainder; the job itself finishes in state "error" with a
 // cancellation cause. Cancelling a deduplicated job cancels it for every
-// submitter sharing it.
-func (j *Job) Cancel() { j.cancel(ErrCanceled) }
+// submitter sharing it. Cancelling a completed warm hit is a no-op.
+func (j *Job) Cancel() {
+	if j.cancel != nil {
+		j.cancel(ErrCanceled)
+	}
+}
 
 // Result returns the finished result. It blocks until the job completes.
 func (j *Job) Result() (experiment.Result, error) {
@@ -499,7 +504,9 @@ func validate(cfg experiment.Config) error {
 // deduplicated: the existing job is returned instead of scheduling new work.
 // Submissions are refused with ErrDraining once Shutdown has begun, and cold
 // submissions (those the store cannot already satisfy) are shed with an
-// OverloadError when MaxPending jobs are pending.
+// OverloadError when MaxPending jobs are pending. A warm hit (the store
+// already satisfies the request) is answered before Submit returns: its Done
+// channel is closed and its result set, with no goroutine behind it.
 func (s *Scheduler) Submit(cfg experiment.Config, prec Precision) (*Job, error) {
 	if err := validate(cfg); err != nil {
 		return nil, err
@@ -510,12 +517,12 @@ func (s *Scheduler) Submit(cfg experiment.Config, prec Precision) (*Job, error) 
 		return nil, fmt.Errorf("service: fixed-count request needs Shots > 0 (or set a precision target)")
 	}
 	key := cfg.Key()
-	fp := fmt.Sprintf("%s|%d|%g|%d|%d|%d", key, cfg.Shots,
-		prec.TargetCIHalfWidth, prec.MinShots, prec.MaxShots, prec.TimeoutMS)
+	fp := fingerprint(key, cfg, prec)
 	// Peek the store outside s.mu (it may hit the disk): a request the store
 	// already satisfies is warm and bypasses admission control, so cached
 	// traffic keeps flowing when cold traffic has saturated the queue.
-	warm := s.satisfied(cfg, prec, key)
+	hit := s.satisfied(cfg, prec, key)
+	warm := hit != nil
 
 	s.mu.Lock()
 	if s.draining {
@@ -534,7 +541,7 @@ func (s *Scheduler) Submit(cfg experiment.Config, prec Precision) (*Job, error) 
 	}
 	s.nextID++
 	j := &Job{
-		ID:    fmt.Sprintf("j%d", s.nextID),
+		ID:    "j" + strconv.Itoa(s.nextID),
 		Key:   key,
 		cfg:   cfg,
 		prec:  prec,
@@ -547,34 +554,59 @@ func (s *Scheduler) Submit(cfg experiment.Config, prec Precision) (*Job, error) 
 		admitNote = "warm"
 	}
 	j.trace.add(SpanEvent{Kind: SpanAdmitted, Note: admitNote})
-	ctx, cancel := context.WithCancelCause(s.baseCtx)
-	stopTimer := func() {}
-	if prec.TimeoutMS > 0 {
-		ctx, stopTimer = context.WithTimeout(ctx, time.Duration(prec.TimeoutMS)*time.Millisecond)
-	}
-	j.ctx, j.cancel, j.stopTimer = ctx, cancel, stopTimer
-	if !warm {
-		s.pending++
-	}
-	s.inflight[fp] = j
 	s.jobs[j.ID] = j
-	s.wg.Add(1)
+	if !warm {
+		ctx, cancel := context.WithCancelCause(s.baseCtx)
+		stopTimer := func() {}
+		if prec.TimeoutMS > 0 {
+			ctx, stopTimer = context.WithTimeout(ctx, time.Duration(prec.TimeoutMS)*time.Millisecond)
+		}
+		j.ctx, j.cancel, j.stopTimer = ctx, cancel, stopTimer
+		s.pending++
+		s.inflight[fp] = j
+		s.wg.Add(1)
+	}
 	s.mu.Unlock()
 	s.log.Info("job admitted", "job", j.ID, "key", key, "warm", warm,
-		"desc", cfg.Describe(), "adaptive", prec.Adaptive())
-	go s.execute(j, fp)
+		"desc", lazyDescribe{&j.cfg}, "adaptive", prec.Adaptive())
+	if !warm {
+		go s.execute(j, fp)
+		return j, nil
+	}
+	// Warm hit: the looked-up tally is the job's own copy and already
+	// satisfies the request, so the job finishes here — no goroutine, no
+	// context, no second store read.
+	j.trace.add(SpanEvent{Kind: SpanStoreHit})
+	res := hit.ResultFor(cfg)
+	j.mu.Lock()
+	j.tally, j.result = hit, &res
+	j.mu.Unlock()
+	s.retire(j, fp)
 	return j, nil
 }
 
-// satisfied reports whether the store already holds enough units for the
-// request (a warm hit). Transient read errors count as cold — admission is
-// the only consumer, and cold is the safe direction.
-func (s *Scheduler) satisfied(cfg experiment.Config, prec Precision, key string) bool {
+// fingerprint identifies a request for in-flight dedupe: the config key plus
+// everything else that decides when the job is satisfied.
+func fingerprint(key string, cfg experiment.Config, prec Precision) string {
+	return fmt.Sprintf("%s|%d|%g|%d|%d|%d", key, cfg.Shots,
+		prec.TargetCIHalfWidth, prec.MinShots, prec.MaxShots, prec.TimeoutMS)
+}
+
+// lazyDescribe defers Config.Describe to the log handler: a disabled logger
+// (the default) never formats the description.
+type lazyDescribe struct{ cfg *experiment.Config }
+
+func (d lazyDescribe) LogValue() slog.Value { return slog.StringValue(d.cfg.Describe()) }
+
+// satisfied returns the stored tally when it already holds enough units for
+// the request (a warm hit), else nil. Transient read errors count as cold —
+// admission is the only consumer, and cold is the safe direction.
+func (s *Scheduler) satisfied(cfg experiment.Config, prec Precision, key string) *experiment.Tally {
 	t, err := s.store.Lookup(key)
-	if err != nil || t == nil {
-		return false
+	if err != nil || t == nil || needUnits(cfg, prec, t) != 0 {
+		return nil
 	}
-	return needUnits(cfg, prec, t) == 0
+	return t
 }
 
 // retryAfterLocked estimates how long a shed client should wait: roughly the
@@ -695,48 +727,7 @@ func (s *Scheduler) execute(j *Job, fp string) {
 		}
 		j.stopTimer()
 		j.cancel(nil) // release the context; no-op if already cancelled
-		s.ins.jobSeconds.Observe(time.Since(j.trace.start).Seconds())
-		j.mu.Lock()
-		jerr, cached := j.err, j.unitsRun == 0
-		j.mu.Unlock()
-		outcome := "done"
-		switch {
-		case jerr != nil:
-			s.ins.jobsError.Inc()
-			j.trace.add(SpanEvent{Kind: SpanDone, Note: jerr.Error()})
-			outcome = "error"
-		case cached:
-			s.ins.jobsCached.Inc()
-			j.trace.add(SpanEvent{Kind: SpanDone, Note: "cached"})
-			outcome = "cached"
-		default:
-			s.ins.jobsDone.Inc()
-			j.trace.add(SpanEvent{Kind: SpanDone})
-		}
-		logArgs := []any{"job", j.ID, "key", j.Key, "outcome", outcome,
-			"units", j.unitsRunSoFar(), "dur_ms", float64(time.Since(j.trace.start)) / float64(time.Millisecond)}
-		if jerr != nil {
-			s.log.Warn("job done", append(logArgs, "err", jerr.Error())...)
-		} else {
-			s.log.Info("job done", logArgs...)
-		}
-		s.mu.Lock()
-		delete(s.inflight, fp)
-		if !j.warm {
-			s.pending--
-		}
-		j.doneAt = time.Now()
-		s.finished = append(s.finished, j)
-		// Evict beyond the retention cap, oldest first, but never a job
-		// younger than the age floor: a client that just submitted must get
-		// a grace window to poll its result even under a completion burst.
-		for len(s.finished) > s.opts.RetainJobs &&
-			time.Since(s.finished[0].doneAt) > s.opts.RetainAge {
-			delete(s.jobs, s.finished[0].ID)
-			s.finished = s.finished[1:]
-		}
-		s.mu.Unlock()
-		close(j.done)
+		s.retire(j, fp)
 	}()
 
 	var tally *experiment.Tally
@@ -790,6 +781,58 @@ func (s *Scheduler) execute(j *Job, fp string) {
 	j.mu.Unlock()
 }
 
+// retire finishes a job, warm or cold: it records the outcome (latency
+// histogram, outcome counter, done span, "job done" log), releases the job's
+// in-flight and admission slots, applies retention, and closes Done.
+func (s *Scheduler) retire(j *Job, fp string) {
+	s.ins.jobSeconds.Observe(time.Since(j.trace.start).Seconds())
+	j.mu.Lock()
+	jerr, units := j.err, j.unitsRun
+	j.mu.Unlock()
+	outcome := "done"
+	switch {
+	case jerr != nil:
+		s.ins.jobsError.Inc()
+		j.trace.add(SpanEvent{Kind: SpanDone, Note: jerr.Error()})
+		outcome = "error"
+	case units == 0:
+		s.ins.jobsCached.Inc()
+		j.trace.add(SpanEvent{Kind: SpanDone, Note: "cached"})
+		outcome = "cached"
+	default:
+		s.ins.jobsDone.Inc()
+		j.trace.add(SpanEvent{Kind: SpanDone})
+	}
+	logArgs := []any{"job", j.ID, "key", j.Key, "outcome", outcome,
+		"units", units, "dur_ms", float64(time.Since(j.trace.start)) / float64(time.Millisecond)}
+	if jerr != nil {
+		s.log.Warn("job done", append(logArgs, "err", jerr)...)
+	} else {
+		s.log.Info("job done", logArgs...)
+	}
+	s.mu.Lock()
+	// Warm hits are never registered in s.inflight, and a cold job with
+	// the same fingerprint may be: only a job's own entry is removed.
+	if s.inflight[fp] == j {
+		delete(s.inflight, fp)
+	}
+	if !j.warm {
+		s.pending--
+	}
+	j.doneAt = time.Now()
+	s.finished = append(s.finished, j)
+	// Evict beyond the retention cap, oldest first, but never a job
+	// younger than the age floor: a client that just submitted must get
+	// a grace window to poll its result even under a completion burst.
+	for len(s.finished) > s.opts.RetainJobs &&
+		time.Since(s.finished[0].doneAt) > s.opts.RetainAge {
+		delete(s.jobs, s.finished[0].ID)
+		s.finished = s.finished[1:]
+	}
+	s.mu.Unlock()
+	close(j.done)
+}
+
 // step performs one scheduling round: read the stored tally, decide how much
 // more to run, simulate one chunk under the key's stripe lock, and merge the
 // delta back. It returns the freshest tally it saw, how many units it
@@ -802,9 +845,10 @@ func (s *Scheduler) step(j *Job) (t *experiment.Tally, ran int, m experiment.Met
 		return experiment.NewTally(cfg.NumRounds(), cfg.UnitShots())
 	}
 
-	// Warm fast path: if the store already satisfies the request, answer
-	// without touching the stripe lock — cached traffic must not queue
-	// behind a busy stripe.
+	// Satisfied fast path: a cold job whose request the store came to
+	// satisfy while it was queued (another job on the key did the work)
+	// answers without touching the stripe lock — it must not queue behind a
+	// busy stripe. Warm hits never get here; they finish inside Submit.
 	cur, lerr := s.lookupRetry(j.ctx, j.Key)
 	if lerr == nil {
 		if cur == nil {
